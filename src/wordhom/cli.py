@@ -36,6 +36,9 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_SEED = 42
+# Longest --time-budget accepted, in seconds (about 31 years); the interval
+# timer behind it overflows above about 9.2e9 seconds.
+MAX_TIME_BUDGET = 1e9
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class RunConfig:
 
     format: str = "text"
     seed: int = DEFAULT_SEED
-    jobs: int = 1
     max_basis: int | None = None
     max_generators: int = DEFAULT_MAX_GENERATORS
     time_budget: float | None = None
@@ -121,7 +123,7 @@ def _finish_homology(payload, groups, verified, problems, config) -> int:
 def _cmd_homology(args, config: RunConfig) -> int:
     if args.variant == "inj":
         complex_rep = build_injective(args.m)
-        groups = homology_table(complex_rep, jobs=config.jobs)
+        groups = homology_table(complex_rep)
         expected_rank = derangement_count(args.m)
         problems = [
             f"H_{k} = {groups[k]} but triviality was claimed"
@@ -141,7 +143,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
 
     if args.variant == "full":
         complex_rep = build_full(args.m, args.max_degree, config.max_basis)
-        groups = homology_table(complex_rep, jobs=config.jobs)
+        groups = homology_table(complex_rep)
         problems = [
             f"H_{k} = {groups[k]} but the full word complex is acyclic"
             for k in sorted(groups)
@@ -177,7 +179,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
         max_degree = int(args.max_degree)
     complex_rep = build_gp(relation, base, max_degree, config.max_basis)
     top = complex_rep.top_degree if complex_rep.complete else complex_rep.top_degree - 1
-    groups = homology_table(complex_rep, range(0, top + 1), jobs=config.jobs)
+    groups = homology_table(complex_rep, range(0, top + 1))
     problems = [
         f"H_{k} = {groups[k]} but triviality is claimed for degrees <= {bound}"
         for k in sorted(groups)
@@ -310,7 +312,6 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
         help=f"output format (default {default_format})",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads; output is identical regardless")
     parser.add_argument("--max-basis", type=int, default=None, help="basis-word budget override")
     parser.add_argument(
         "--max-generators",
@@ -322,7 +323,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
         "--time-budget",
         type=float,
         default=None,
-        help="wall-clock budget in seconds; exceeding it exits 3",
+        help="wall-clock budget in seconds, 0 for none (at most 1e9); exceeding it exits 3",
     )
 
 
@@ -400,6 +401,10 @@ def _validate_hom_args(args):
                 args.max_degree = int(args.max_degree)
             except ValueError as exc:
                 raise InvalidInput("--max-degree must be an integer here") from exc
+            if args.max_degree < 1:
+                raise InvalidInput(
+                    "homology full needs --max-degree >= 1", max_degree=args.max_degree
+                )
 
 
 def run(argv) -> int:
@@ -411,13 +416,19 @@ def run(argv) -> int:
     config = RunConfig(
         format=args.format,
         seed=args.seed,
-        jobs=max(1, args.jobs),
         max_basis=args.max_basis,
         max_generators=args.max_generators,
         time_budget=args.time_budget,
     )
     try:
         _validate_hom_args(args)
+        budget = config.time_budget
+        if budget is not None and not 0 <= budget <= MAX_TIME_BUDGET:
+            # written as a string: JSON has no inf or nan
+            raise InvalidInput(
+                f"--time-budget must be between 0 and {MAX_TIME_BUDGET:.0f} seconds",
+                time_budget=str(budget),
+            )
         with _deadline(config.time_budget):
             return args.handler(args, config)
     except WordhomError as exc:

@@ -98,12 +98,8 @@ def homology(complex_rep, k: int) -> HomologyGroup:
     return homology_of_pair(complex_rep.dim(k), d_k, d_k1)
 
 
-def homology_table(complex_rep, degrees=None, jobs: int = 1) -> dict[int, HomologyGroup]:
-    """Homology at several degrees, computing each Smith normal form once.
-
-    With jobs > 1 the per-matrix normal forms run on a thread pool; the
-    result is independent of the worker count.
-    """
+def homology_table(complex_rep, degrees=None) -> dict[int, HomologyGroup]:
+    """Homology at several degrees, computing each Smith normal form once."""
     if degrees is None:
         top = complex_rep.top_degree
         degrees = range(0, top + 1 if complex_rep.complete else top)
@@ -114,16 +110,7 @@ def homology_table(complex_rep, degrees=None, jobs: int = 1) -> dict[int, Homolo
         {k for k in degrees if not (complex_rep.complete and k > complex_rep.top_degree)}
         | {k + 1 for k in degrees if not (complex_rep.complete and k > complex_rep.top_degree)}
     )
-    if jobs > 1 and len(wanted) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            forms = list(
-                pool.map(lambda k: smith_normal_form(_matrix_or_zero(complex_rep, k)), wanted)
-            )
-        snf_cache = dict(zip(wanted, forms))
-    else:
-        snf_cache = {k: smith_normal_form(_matrix_or_zero(complex_rep, k)) for k in wanted}
+    snf_cache = {k: smith_normal_form(_matrix_or_zero(complex_rep, k)) for k in wanted}
 
     out = {}
     for k in degrees:

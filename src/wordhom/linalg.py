@@ -3,9 +3,13 @@
 Everything here is arbitrary-precision integer arithmetic; there is no
 floating point anywhere.  The Smith normal form uses integer-preserving
 (unimodular) row and column operations only, with a fixed pivot policy:
-minimal Markowitz count, ties broken by minimal absolute value, then by
-row-major position.  The policy is part of the contract so that runs are
-reproducible.
+the pivot row is the lowest-index row among the shortest live rows, and the
+pivot column is that row's entry of least absolute value, ties broken by the
+fewest nonzeros in the column, then by the lowest column index.  Live rows
+are kept in buckets by length, so choosing a pivot never scans the whole
+matrix.  The policy is part of the contract so that runs are reproducible;
+invariant factors are unique, so they (and every result built on them) do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -166,13 +170,36 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
     for (r, c), v in mat.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
+    # Row length -> live rows of that length; no bucket is ever empty.
+    by_len: dict[int, set[int]] = {}
+    for i, rowd in rows.items():
+        by_len.setdefault(len(rowd), set()).add(i)
+
+    def move_row(i, old, new):
+        # Move row i from the bucket of length old to that of length new;
+        # length 0 has no bucket.
+        if old:
+            bucket = by_len[old]
+            bucket.discard(i)
+            if not bucket:
+                del by_len[old]
+        if new:
+            bucket = by_len.get(new)
+            if bucket is None:
+                by_len[new] = {i}
+            else:
+                bucket.add(i)
 
     def set_entry(i, j, v):
         row = rows.get(i)
         if v:
             if row is None:
                 rows[i] = {j: v}
+                move_row(i, 0, 1)
             else:
+                if j not in row:
+                    n = len(row)
+                    move_row(i, n, n + 1)
                 row[j] = v
             s = cols.get(j)
             if s is None:
@@ -180,9 +207,11 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
             else:
                 s.add(i)
         elif row is not None and j in row:
+            n = len(row)
             del row[j]
             if not row:
                 del rows[i]
+            move_row(i, n, n - 1)
             s = cols[j]
             s.discard(i)
             if not s:
@@ -233,15 +262,9 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
 
     diag: list[int] = []
     while rows:
-        best_key = None
-        pr = pc = -1
-        for i, rowd in rows.items():
-            wr = len(rowd) - 1
-            for j, v in rowd.items():
-                key = (wr * (len(cols[j]) - 1), -v if v < 0 else v, i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    pr, pc = i, j
+        pr = min(by_len[min(by_len)])
+        prow = rows[pr]
+        pc = min(prow, key=lambda j: (abs(prow[j]), len(cols[j]), j))
         while True:
             col_others = [i for i in cols[pc] if i != pr]
             for i in col_others:

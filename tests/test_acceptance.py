@@ -7,7 +7,10 @@ closed form cross-check, blocking-set searches for relation orders, and
 re-application of the boundary operator for every filling certificate.
 """
 
+import contextlib
 import functools
+import io
+import json
 import random
 import time
 
@@ -32,6 +35,7 @@ from wordhom import (
     smith_normal_form,
     sym_homology,
 )
+from wordhom.cli import run
 from conftest import random_gp_chain, random_letter_chain
 
 
@@ -69,6 +73,20 @@ def test_criterion_injective_homology_table():
         want = expected_ranks[m]
         assert want == derangement_count(m) == rank_formula(m)
         assert table[m] == HomologyGroup(want), f"H_{m} = {table[m]}"
+
+
+@criterion("wordhom homology inj --m 7: trivial below the top, Z^1854 there", 30)
+def test_criterion_injective_homology_m7_cli():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["homology", "inj", "--m", "7", "--format", "json"])
+    assert code == 0
+    groups = {g["degree"]: g for g in json.loads(out.getvalue())["groups"]}
+    assert sorted(groups) == list(range(8))
+    for k in range(7):
+        assert groups[k] == {"degree": k, "free_rank": 0, "torsion": []}, groups[k]
+    assert 1854 == derangement_count(7) == rank_formula(7)
+    assert groups[7] == {"degree": 7, "free_rank": 1854, "torsion": []}
 
 
 @criterion("full word complex is acyclic (alphabets up to 3 letters)", 30)

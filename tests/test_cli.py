@@ -184,10 +184,24 @@ def test_json_outputs_are_deterministic(capture):
         assert first == second
 
 
-def test_jobs_flag_does_not_change_output(capture):
-    _, serial = capture("homology", "inj", "--m", "4", "--format", "json")
-    _, parallel = capture("homology", "inj", "--m", "4", "--format", "json", "--jobs", "4")
-    assert serial == parallel
+def test_jobs_flag_is_rejected(capture):
+    code, _ = capture("homology", "inj", "--m", "4", "--jobs", "4")
+    assert code == 2
+
+
+@pytest.mark.parametrize("budget", ["-1", "inf", "nan", "1e12"])
+def test_time_budget_out_of_range_is_invalid(capture, budget):
+    code, out = capture("derangements", "--m", "3", f"--time-budget={budget}")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-input"
+    assert error["context"]["time_budget"] == str(float(budget))
+
+
+def test_homology_full_rejects_max_degree_zero(capture):
+    code, out = capture("homology", "full", "--m", "2", "--max-degree", "0")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-input"
 
 
 def test_time_budget_exits_resource_limit(capture):

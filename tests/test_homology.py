@@ -100,11 +100,6 @@ def test_rank_formula_agrees_with_derangements():
         assert rank_formula(m) == derangement_count(m)
 
 
-def test_homology_table_parallel_matches_serial():
-    C = build_injective(4)
-    assert homology_table(C, jobs=4) == homology_table(C)
-
-
 def test_boundary_matrix_rank_consistent_mod_p():
     from wordhom import rank_mod_p, smith_normal_form
 

@@ -2,8 +2,28 @@ import random
 
 import pytest
 
-from wordhom import SparseIntMatrix, rank, rank_mod_p, smith_normal_form
+from wordhom import (
+    PermutationGroup,
+    SparseIntMatrix,
+    build_bar_complex,
+    build_injective,
+    rank,
+    rank_mod_p,
+    smith_normal_form,
+)
 from conftest import naive_smith_normal_form
+
+
+@pytest.fixture(scope="module")
+def complex_boundaries():
+    """Boundary matrices with unit pivots (injective words, m=5) and with
+    xgcd pivots (bar complex of S_3 to degree 4: Z/2 and Z/6 torsion)."""
+    inj = build_injective(5)
+    bar = build_bar_complex(PermutationGroup.symmetric(3), 4)
+    return {
+        **{f"inj5-d{k}": inj.boundary_matrix(k) for k in range(1, 6)},
+        **{f"bar-S3-d{k}": bar.boundary_matrix(k) for k in range(1, 5)},
+    }
 
 
 def test_snf_hand_checked_example():
@@ -99,3 +119,31 @@ def test_snf_with_large_entries_stays_exact():
     assert factors[0] == 1
     # determinant up to sign is the product of the invariant factors
     assert factors[0] * factors[1] == abs(big * 2 - (big + 1))
+
+
+def test_snf_agrees_with_mod_p_ranks_on_complex_boundaries(complex_boundaries):
+    torsion = set()
+    for name, m in complex_boundaries.items():
+        factors = smith_normal_form(m)
+        torsion.update(d for d in factors if d > 1)
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(m, p) == sum(1 for d in factors if d % p), (name, p)
+    assert torsion == {2, 6}
+
+
+def test_snf_matches_naive_oracle_on_complex_boundaries(complex_boundaries):
+    for name, m in complex_boundaries.items():
+        assert smith_normal_form(m) == naive_smith_normal_form(m.to_dense()), name
+
+
+def test_snf_invariant_under_permutations_of_torsion_bar_matrix(complex_boundaries):
+    m = complex_boundaries["bar-S3-d4"]
+    factors = smith_normal_form(m)
+    assert factors[-1] == 6
+    rng = random.Random(2001)
+    for _ in range(4):
+        rp = list(range(m.rows))
+        cp = list(range(m.cols))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        assert smith_normal_form(m.permuted(rp, cp)) == factors
