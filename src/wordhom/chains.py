@@ -141,6 +141,28 @@ class Chain:
     def __rmul__(self, k: int) -> "Chain":
         return self.scale(k)
 
+    @staticmethod
+    def sum(alphabet: Alphabet, degree: int, chains) -> "Chain":
+        """Sum of chains of one degree, accumulated in a single term dict.
+
+        A running ``total = total + part`` copies the total on every step;
+        this adds each term once.  Zero chains are skipped whatever their
+        stored degree, as in ``+``.
+        """
+        out: dict[Word, int] = {}
+        for chain in chains:
+            if chain.is_zero():
+                continue
+            if chain.alphabet != alphabet or chain.degree != degree:
+                raise InvalidInput(
+                    "summands must share the alphabet and the degree",
+                    degree=degree,
+                    summand_degree=chain.degree,
+                )
+            for word, coeff in chain._terms.items():
+                out[word] = out.get(word, 0) + coeff
+        return Chain(alphabet, degree, out, _validated=True)
+
     # -- the operations of the algebra ---------------------------------
     def boundary(self) -> "Chain":
         """Alternating sum of single-entry deletions.
@@ -218,13 +240,19 @@ class Chain:
                 raise InvalidInput(f"chain object is missing '{field}'")
         alphabet = Alphabet.from_json(obj["alphabet"])
         degree = obj["degree"]
-        if not isinstance(degree, int) or degree < 0:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise InvalidInput("degree must be a nonnegative integer", degree=degree)
+        if not isinstance(obj["terms"], list):
+            raise InvalidInput("terms must be an array", terms=obj["terms"])
         terms = {}
         for entry in obj["terms"]:
+            if not isinstance(entry, dict) or "word" not in entry or "coeff" not in entry:
+                raise InvalidInput(
+                    "each term must be an object with 'word' and 'coeff'", term=entry
+                )
             word = alphabet.word_from_json(entry["word"])
             coeff = entry["coeff"]
-            if not isinstance(coeff, int):
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise InvalidInput("coefficients must be integers", coeff=coeff)
             if len(word) != degree:
                 raise InvalidInput("term length differs from degree", word=word)

@@ -21,6 +21,7 @@ from .complexes import build_full, build_gp, build_injective
 from .errors import (
     InternalInvariantBroken,
     InvalidInput,
+    PreconditionViolated,
     ResourceLimit,
     VerificationFailed,
     WordhomError,
@@ -169,6 +170,11 @@ def _cmd_homology(args, config: RunConfig) -> int:
     else:
         raise InvalidInput("homology gp needs --p/--dim or --m")
     base = _parse_base(relation.alphabet, args.base)
+    if not relation.gp(base, ()):
+        raise PreconditionViolated(
+            "the base word is not in general position",
+            base=relation.alphabet.word_to_json(base),
+        )
     order = gp_order(relation)
     bound = (order.lower_bound - len(base) - 1) // 2
     if args.max_degree == "auto":

@@ -251,19 +251,4 @@ def build_gp(
         "base": alphabet.word_to_json(base),
         "max_degree": max_degree,
     }
-    rep = _assemble(alphabet, levels, complete=complete, description=descr)
-    _check_face_closure(rep)
-    return rep
-
-
-def _check_face_closure(rep: ChainComplexRep):
-    # Deleting any entry of a basis word must land in the lower basis; the
-    # matrix assembly already fails loudly if not, this re-states it cheaply.
-    for k in range(1, rep.top_degree + 1):
-        lower = set(rep.bases[k - 1])
-        for word in rep.bases[k]:
-            for pos in range(len(word)):
-                if word[:pos] + word[pos + 1 :] not in lower:
-                    raise InternalInvariantBroken(
-                        "face closure failed", degree=k, word=word
-                    )
+    return _assemble(alphabet, levels, complete=complete, description=descr)

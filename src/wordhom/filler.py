@@ -130,7 +130,7 @@ def _fill_inj(c: Chain, allowed: frozenset, steps: list, depth: int) -> Chain:
             if x in word and word.index(x) == stage:
                 groups.setdefault(word[stage + 1 :], {})[word[:stage]] = coeff
         if groups:
-            z = Chain.zero(alphabet, n + 1)
+            products = []
             for suffix in sorted(groups):
                 block = Chain(alphabet, stage, groups[suffix], _validated=True)
                 if not block.boundary().is_zero():
@@ -141,9 +141,10 @@ def _fill_inj(c: Chain, allowed: frozenset, steps: list, depth: int) -> Chain:
                 if block.degree >= n:
                     raise InternalInvariantBroken("recursion degree did not drop")
                 filled = _fill_inj(block, sub_allowed, steps, depth + 1)
-                z = z + filled.product(
-                    Chain.term(alphabet, (x,) + suffix), mode="disjoint"
+                products.append(
+                    filled.product(Chain.term(alphabet, (x,) + suffix), mode="disjoint")
                 )
+            z = Chain.sum(alphabet, n + 1, products)
             work = work - z.boundary()
             parts.append(z)
             steps.append(
@@ -169,10 +170,7 @@ def _fill_inj(c: Chain, allowed: frozenset, steps: list, depth: int) -> Chain:
     cone = Chain.term(alphabet, (x,)).product(work, mode="disjoint")
     if not work.is_zero():
         steps.append({"action": "cone", "symbol": x, "degree": n, "depth": depth})
-    total = cone
-    for part in parts:
-        total = total + part
-    return total
+    return Chain.sum(alphabet, n + 1, [cone, *parts])
 
 
 # -- general position --------------------------------------------------------
@@ -209,6 +207,10 @@ def fill_gp(
 ) -> FillCertificate:
     """Fill a cycle inside the subcomplex of words in general position to base.
 
+    The base must itself be in general position, gp(base; ()), and every term
+    of the cycle in general position to it; either failure raises
+    PreconditionViolated.
+
     ``order_value`` is the order of the relation or a certified lower bound
     for it; when omitted it is computed by gp_order.  The degree bound
     2*degree + len(base) + 1 <= order is recorded in the audit log and the
@@ -219,6 +221,11 @@ def fill_gp(
     if c.alphabet != alphabet:
         raise InvalidInput("the chain and the relation use different alphabets")
     base = alphabet.check_word(base)
+    if not relation.gp(base, ()):
+        raise PreconditionViolated(
+            "the base word is not in general position",
+            base=alphabet.word_to_json(base),
+        )
     for word, _ in c.terms():
         if not relation.gp(word, base):
             raise PreconditionViolated(
@@ -292,7 +299,7 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 "the prefix invariant failed to reach the degree", degree=n
             )
         if invariant == 0:
-            z = Chain.zero(alphabet, n + 1)
+            cones = {}
             for word, coeff in work.terms():
                 y = _pick(
                     relation,
@@ -300,7 +307,8 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                     (x,) + word + base,
                     "term cone",
                 )
-                z = z + Chain.term(alphabet, (y,) + word, coeff)
+                cones[(y,) + word] = coeff
+            z = Chain(alphabet, n + 1, cones, _validated=True)
             blocks = len(work)
         else:
             groups: dict[tuple, dict] = {}
@@ -309,7 +317,7 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                     groups.setdefault(word[invariant:], {})[word[:invariant]] = coeff
             if not groups:
                 raise InternalInvariantBroken("no terms realize the minimal invariant")
-            z = Chain.zero(alphabet, n + 1)
+            products = []
             for suffix in sorted(groups):
                 block = Chain(alphabet, invariant, groups[suffix], _validated=True)
                 if not block.boundary().is_zero():
@@ -320,7 +328,8 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 filled = _fill_gp(
                     block, relation, extended_base, candidates, steps, depth + 1
                 )
-                z = z + filled.product(Chain.term(alphabet, suffix))
+                products.append(filled.product(Chain.term(alphabet, suffix)))
+            z = Chain.sum(alphabet, n + 1, products)
             blocks = len(groups)
         work = work - z.boundary()
         parts.append(z)
@@ -351,7 +360,4 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 "depth": depth,
             }
         )
-    total = cone
-    for part in parts:
-        total = total + part
-    return total
+    return Chain.sum(alphabet, n + 1, [cone, *parts])

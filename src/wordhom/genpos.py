@@ -31,38 +31,107 @@ def gp_inj(x, y) -> bool:
     return len(sx) == len(x) and not sx & set(y)
 
 
-def _reduce_mod(vec, p):
-    return tuple(a % p for a in vec)
+class _SpanOracle:
+    """Projective points of F_p^dim as integer indices, spans as bitmasks.
 
+    Index 0 is the zero vector; the nonzero points are numbered 1..size in
+    the sorted order of their canonical representatives (first nonzero
+    coordinate scaled to 1).  ``span_mask`` maps a sorted tuple of distinct
+    point indices to the integer whose bit q is set iff point q lies in the
+    span of those points, and is cached.  Nothing is precomputed: F_13^6 has
+    4.8 million vectors, and only the spans a caller asks for are built.
+    """
 
-def _row_reduce(vectors, p):
-    """Row-reduced basis of the span of the given vectors over F_p."""
-    basis = []
-    pivots = []
-    for vec in vectors:
-        v = list(vec)
-        for b, piv in zip(basis, pivots):
-            if v[piv]:
-                factor = v[piv]
-                v = [(a - factor * c) % p for a, c in zip(v, b)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], p - 2, p)
-        basis.append([(a * inv) % p for a in v])
-        pivots.append(lead)
-    return basis
+    def __init__(self, p: int, dim: int):
+        self.p = p
+        self.dim = dim
+        # offsets[j]: number of points whose leading coordinate lies after j
+        self._offsets = [sum(p**e for e in range(dim - 1 - j)) for j in range(dim)]
+        self.size = sum(p**e for e in range(dim))
+        self._spans: dict[tuple, int] = {}
 
+    def index(self, v) -> int:
+        """Projective-point index of a vector of residues mod p (0 if zero)."""
+        p = self.p
+        for j, lead in enumerate(v):
+            if lead:
+                inv = pow(lead, p - 2, p)
+                tail = 0
+                for a in v[j + 1 :]:
+                    tail = tail * p + a * inv % p
+                return 1 + self._offsets[j] + tail
+        return 0
 
-def _in_span(vec, basis_vectors, p) -> bool:
-    v = list(vec)
-    basis = _row_reduce(basis_vectors, p)
-    for b in basis:
-        lead = next(i for i, a in enumerate(b) if a)
-        if v[lead]:
-            factor = v[lead]
-            v = [(a - factor * c) % p for a, c in zip(v, b)]
-    return not any(v)
+    def point(self, q: int) -> Word:
+        """Canonical representative of the nonzero point with index q."""
+        if not 1 <= q <= self.size:
+            raise InvalidInput("not a projective point index", index=q, size=self.size)
+        p, dim = self.p, self.dim
+        j, offset = next((j, o) for j, o in enumerate(self._offsets) if q > o)
+        tail = q - 1 - offset
+        digits = []
+        for _ in range(dim - 1 - j):
+            tail, a = divmod(tail, p)
+            digits.append(a)
+        return (0,) * j + (1,) + tuple(reversed(digits))
+
+    def span_mask(self, points: tuple) -> int:
+        mask = self._spans.get(points)
+        if mask is None:
+            p = self.p
+            vectors = {(0,) * self.dim}
+            for q in points:
+                v = self.point(q)
+                vectors = {
+                    tuple((a + c * b) % p for a, b in zip(u, v))
+                    for u in vectors
+                    for c in range(p)
+                }
+            mask = 0
+            for u in vectors:
+                mask |= 1 << self.index(u)
+            mask = self._spans[points] = mask & ~1
+        return mask
+
+    def in_position(self, xs, ys) -> bool:
+        """gp on point indices: every x point is nonzero and outside the span
+        of every set of at most dim-1 points at the other positions."""
+        if 0 in xs:
+            return False
+        if self.dim == 1 or not xs:
+            return True
+        distinct = set(xs)
+        # A single point spans only itself, so this settles every set of one
+        # point, and with it dimension 2.
+        if len(distinct) < len(xs) or not distinct.isdisjoint(ys):
+            return False
+        if self.dim == 2:
+            return True
+        points = sorted(distinct.union(ys) - {0})
+        xmask = 0
+        for q in distinct:
+            xmask |= 1 << q
+        for size in range(2, min(self.dim - 1, len(points)) + 1):
+            for subset in itertools.combinations(points, size):
+                own = 0
+                for q in subset:
+                    own |= 1 << q
+                if self.span_mask(subset) & xmask & ~own:
+                    return False
+        return True
+
+    def blocks(self, ws) -> bool:
+        """True when the spans of at most dim-1 points of the word cover
+        every point, so no vector is in general position to it."""
+        points = sorted(set(ws) - {0})
+        full = (1 << (self.size + 1)) - 2
+        covered = 0
+        for size in range(1, min(self.dim - 1, len(points)) + 1):
+            for subset in itertools.combinations(points, size):
+                covered |= self.span_mask(subset)
+                if covered == full:
+                    return True
+        return False
 
 
 def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
@@ -72,7 +141,7 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
     coefficients, over the entries of x followed by those of y, in which some
     x coefficient is nonzero.  Equivalently: no entry of x lies in the span
     of at most dim-1 of the remaining entries (the empty span forces the
-    entry itself to be nonzero).
+    entry itself to be nonzero).  Entries are reduced mod p first.
     """
     entries = [tuple(v) for v in x] + [tuple(v) for v in y]
     if dim is None:
@@ -81,21 +150,9 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
         dim = len(entries[0])
     if any(len(v) != dim for v in entries):
         raise InvalidInput("vector entries have mismatched dimensions", dim=dim)
-    entries = [_reduce_mod(v, p) for v in entries]
-    zero = (0,) * dim
-    nx = len(x)
-    for i in range(nx):
-        v = entries[i]
-        if v == zero:
-            return False
-        others = entries[:i] + entries[i + 1 :]
-        for size in range(1, dim):
-            if size > len(others):
-                break
-            for subset in itertools.combinations(others, size):
-                if _in_span(v, subset, p):
-                    return False
-    return True
+    oracle = _SpanOracle(p, dim)
+    points = [oracle.index([a % p for a in v]) for v in entries]
+    return oracle.in_position(points[: len(x)], points[len(x) :])
 
 
 class GeneralPositionRelation(ABC):
@@ -141,11 +198,16 @@ class InjectiveRelation(GeneralPositionRelation):
 
 
 class VectorRelation(GeneralPositionRelation):
-    """Vectors over F_p in general position, with span results cached.
+    """Vectors over F_p^dim in general position, decided on span bitmasks.
 
-    The relation only depends on entries up to nonzero scaling, so candidate
-    enumeration works over canonical projective representatives (first
-    nonzero coordinate scaled to 1).
+    The relation only depends on entries up to nonzero scaling.  Each symbol
+    is mapped once to the index of its projective point (0 for the zero
+    vector); the map is memoised, and a symbol is validated against the
+    alphabet on its first lookup.  gp(x; y) then holds iff every x index is
+    nonzero and no x point lies in the cached span bitmask of a set of at
+    most dim-1 distinct points at the other positions; a word blocks iff the
+    union of those bitmasks over its own points is every point.  Candidate
+    enumeration works over canonical projective representatives.
     """
 
     set_blocking = True
@@ -155,65 +217,42 @@ class VectorRelation(GeneralPositionRelation):
         self.p = p
         self.dim = dim
         self.name = "vec"
-        self._span_cache: dict[frozenset, frozenset] = {}
+        self._oracle = _SpanOracle(p, dim)
+        self._indices: dict[tuple, int] = {}
+
+    def _point_index(self, v) -> int:
+        key = tuple(v)
+        try:
+            q = self._indices.get(key)
+        except TypeError:  # an unhashable entry; check_symbol rejects it
+            q = None
+        # The sum of the entries is an int exactly when every entry is, so a
+        # float equal to a memoised symbol, say (1.0, 0), is still rejected.
+        if q is None or type(sum(key)) is not int:
+            q = self._oracle.index(self.alphabet.check_symbol(key))
+            self._indices.setdefault(key, q)
+        return q
 
     def gp(self, x, y) -> bool:
-        for v in itertools.chain(x, y):
-            self.alphabet.check_symbol(tuple(v))
-        return gp_vec(x, y, self.p, self.dim)
+        xs = [self._point_index(v) for v in x]
+        ys = [self._point_index(v) for v in y]
+        return self._oracle.in_position(xs, ys)
 
     def projective_point(self, v) -> Word:
-        lead = next((a for a in v if a), None)
-        if lead is None:
+        q = self._point_index(v)
+        if not q:
             raise InvalidInput("the zero vector has no projective point")
-        inv = pow(lead, self.p - 2, self.p)
-        return tuple((a * inv) % self.p for a in v)
+        return self._oracle.point(q)
 
     def projective_points(self) -> list:
-        seen = set()
-        out = []
-        for v in self.alphabet.symbols():
-            if any(v):
-                pt = self.projective_point(v)
-                if pt not in seen:
-                    seen.add(pt)
-                    out.append(pt)
-        return sorted(out)
+        """Canonical representatives of every projective point, sorted."""
+        return [self._oracle.point(q) for q in range(1, self._oracle.size + 1)]
 
     def extension_candidates(self) -> list:
         return self.projective_points()
 
-    def _span_points(self, reps: frozenset) -> frozenset:
-        """Projective points of the span of the given representatives."""
-        cached = self._span_cache.get(reps)
-        if cached is not None:
-            return cached
-        basis = _row_reduce(sorted(reps), self.p)
-        points = set()
-        for combo in itertools.product(range(self.p), repeat=len(basis)):
-            if not any(combo):
-                continue
-            vec = [0] * self.dim
-            for coeff, b in zip(combo, basis):
-                if coeff:
-                    for i, a in enumerate(b):
-                        vec[i] = (vec[i] + coeff * a) % self.p
-            if any(vec):
-                points.add(self.projective_point(tuple(vec)))
-        result = frozenset(points)
-        self._span_cache[reps] = result
-        return result
-
     def is_blocking(self, word) -> bool:
-        entries = [tuple(v) for v in word if any(v)]
-        reps = sorted({self.projective_point(v) for v in entries})
-        covered = set()
-        for size in range(1, self.dim):
-            if size > len(reps):
-                break
-            for subset in itertools.combinations(reps, size):
-                covered |= self._span_points(frozenset(subset))
-        return covered >= set(self.projective_points())
+        return self._oracle.blocks([self._point_index(v) for v in word])
 
 
 # -- axiom checking ----------------------------------------------------------

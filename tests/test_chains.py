@@ -129,3 +129,16 @@ def test_vector_chain_symbols_validated():
         Chain.term(A, ((3, 0),))
     ok = Chain.term(A, ((2, 1),))
     assert ok.degree == 1
+
+
+def test_sum_matches_repeated_addition():
+    rng = random.Random(8)
+    for _ in range(50):
+        parts = [random_letter_chain(rng, 5, 3) for _ in range(rng.randint(0, 5))]
+        parts.append(Chain.zero(A5, 0))
+        expected = Chain.zero(A5, 3)
+        for part in parts:
+            expected = expected + part
+        assert Chain.sum(A5, 3, parts) == expected
+    with pytest.raises(InvalidInput):
+        Chain.sum(A5, 2, [term((1, 2)), term((1, 2, 3))])

@@ -138,6 +138,47 @@ def test_fill_rejects_malformed_json(tmp_path, capture):
     assert code == 2
 
 
+LETTERS_3 = {"kind": "letters", "m": 3}
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        {"alphabet": LETTERS_3, "degree": 1, "terms": [{"word": [1]}]},
+        {"alphabet": LETTERS_3, "degree": 1, "terms": [{"coeff": 1}]},
+        {"alphabet": LETTERS_3, "degree": 1, "terms": [[1, [1]]]},
+        {"alphabet": LETTERS_3, "degree": 1, "terms": 5},
+        {"alphabet": LETTERS_3, "degree": 1, "terms": [{"coeff": True, "word": [1]}]},
+        {"alphabet": LETTERS_3, "degree": True, "terms": []},
+    ],
+)
+def test_fill_rejects_malformed_chain(tmp_path, capture, chain):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(chain))
+    code, out = capture("fill", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
+def test_fill_rejects_base_not_in_general_position(tmp_path, capture):
+    alphabet = Alphabet.vectors(5, 2)
+    path = tmp_path / "point.json"
+    path.write_text(Chain.term(alphabet, ((0, 1),)).boundary().serialize())
+    code, out = capture("fill", "--input", str(path), "--base", "[[1, 0], [2, 0]]")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition-violated"
+
+
+@pytest.mark.parametrize(
+    "flags,base",
+    [(("--p", "5", "--dim", "2"), "[[1, 0], [2, 0]]"), (("--m", "4"), "[2, 2]")],
+)
+def test_homology_gp_rejects_base_not_in_general_position(capture, flags, base):
+    code, out = capture("homology", "gp", *flags, "--base", base)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition-violated"
+
+
 def test_nakaoka_table_text(capture):
     code, out = capture("nakaoka", "--n", "3", "--max-degree", "1")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,88 @@ def test_axiom_suite_passes_on_shipped_relations(relation, seed):
     assert all(hits > 0 for hits in report.hypothesis_hits.values())
 
 
+def _brute_gp(x, y, p, dim):
+    """Independent reference: search every linear relation over the entries
+    of x.y with at most dim nonzero coefficients for one that puts a nonzero
+    coefficient on an x entry.  The first coefficient is fixed to 1, which
+    loses nothing because relations can be rescaled."""
+    entries = [tuple(a % p for a in v) for v in (*x, *y)]
+    for size in range(1, dim + 1):
+        for support in itertools.combinations(range(len(entries)), size):
+            if support[0] >= len(x):
+                continue
+            for rest in itertools.product(range(1, p), repeat=size - 1):
+                coeffs = (1,) + rest
+                if all(
+                    sum(c * entries[i][k] for c, i in zip(coeffs, support)) % p == 0
+                    for k in range(dim)
+                ):
+                    return False
+    return True
+
+
+ORACLE_CASES = [(p, dim) for p in (2, 3, 5, 7) for dim in (1, 2, 3)] + [(2, 4)]
+
+
+@pytest.mark.parametrize("p,dim", ORACLE_CASES)
+def test_vector_relation_matches_brute_force(p, dim):
+    rng = random.Random(1000 * p + dim)
+    R = VectorRelation(p, dim)
+    points = R.projective_points()
+    zero = (0,) * dim
+
+    def entry():
+        # a scaled, unnormalized representative, or now and then zero
+        if rng.random() < 0.1:
+            return zero
+        lam = rng.randrange(1, p)
+        return tuple(lam * a % p for a in rng.choice(points))
+
+    outcomes = set()
+    for _ in range(120):
+        word = [entry() for _ in range(rng.randint(0, 5))]
+        if word and rng.random() < 0.3:
+            word.insert(rng.randrange(len(word) + 1), rng.choice(word))  # a repeat
+        cut = rng.randint(0, len(word))
+        x, y = tuple(word[:cut]), tuple(word[cut:])
+        expected = _brute_gp(x, y, p, dim)
+        outcomes.add(expected)
+        assert R.gp(x, y) == expected, (x, y)
+        unreduced = [tuple(a + p * rng.randint(-2, 2) for a in v) for v in x]
+        assert gp_vec(unreduced, y, p) == expected, (unreduced, y)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,dim", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 1)])
+def test_is_blocking_matches_brute_force(p, dim):
+    rng = random.Random(p * dim)
+    R = VectorRelation(p, dim)
+    points = R.projective_points()
+    outcomes = set()
+    for _ in range(60):
+        k = rng.randint(0, min(len(points), dim + 4))
+        word = [tuple(rng.randrange(1, p) * a % p for a in v) for v in rng.sample(points, k)]
+        if rng.random() < 0.3:
+            word.insert(rng.randrange(len(word) + 1), (0,) * dim)
+        word = tuple(word)
+        expected = not any(_brute_gp((e,), word, p, dim) for e in points)
+        outcomes.add(expected)
+        assert R.is_blocking(word) == expected, word
+    if dim > 1:
+        assert outcomes == {True, False}
+
+
+def test_vector_relation_validates_memoised_symbols():
+    R = VectorRelation(3, 2)
+    assert R.gp(((1, 0),), ((0, 1),))
+    # A symbol equal to a memoised one must not skip validation: 1.0 == 1.
+    for bad in [(1.0, 0), (3, 0), (1, 0, 0), ([1], 0)]:
+        with pytest.raises(InvalidInput):
+            R.gp((bad,), ())
+        with pytest.raises(InvalidInput):
+            R.gp(((0, 1),), (bad,))
+
+
 def test_axiom_suite_catches_broken_relation():
     report = check_axioms(SetDisjointOnly(6), trials=1000, seed=3)
     assert not report.passed
@@ -117,7 +200,18 @@ def test_gp_order_injective_equals_alphabet_size():
 
 @pytest.mark.parametrize(
     "p,dim,expected",
-    [(2, 2, 3), (3, 2, 4), (5, 2, 6), (2, 3, 4), (3, 3, 4), (2, 4, 5)],
+    [
+        (2, 2, 3),
+        (3, 2, 4),
+        (5, 2, 6),
+        (7, 2, 8),
+        (11, 2, 12),
+        (13, 2, 14),
+        (2, 3, 4),
+        (3, 3, 4),
+        (2, 4, 5),
+        (3, 4, 5),
+    ],
 )
 def test_gp_order_vector_table(p, dim, expected):
     result = gp_order(VectorRelation(p, dim))
