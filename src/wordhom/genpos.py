@@ -32,40 +32,49 @@ def gp_inj(x, y) -> bool:
 
 
 class _SpanOracle:
-    """Projective points of F_p^dim as integer indices, spans as bitmasks.
+    """Spans of projective points of F_p^dim, by row reduction and bitmask.
 
-    Index 0 is the zero vector; the nonzero points are numbered 1..size in
-    the sorted order of their canonical representatives (first nonzero
-    coordinate scaled to 1).  ``span_mask`` maps a sorted tuple of distinct
-    point indices to the integer whose bit q is set iff point q lies in the
-    span of those points, and is cached.  Nothing is precomputed: F_13^6 has
-    4.8 million vectors, and only the spans a caller asks for are built.
+    A point is given by its canonical representative: the vector with its
+    first nonzero coordinate scaled to 1 (the zero vector stays zero).
+    ``basis`` row-reduces a set of points, and a membership test reduces one
+    point against that basis, so deciding gp costs O(k * dim) per set of k
+    points and tested point, whatever p is.  For the blocking test the
+    nonzero points are numbered 1..size in sorted order, and ``span_mask``
+    lists the points of a span from the same basis as an integer whose bit
+    q is set iff point q lies in the span; that costs one step per point of
+    the span, so the masks are cached.  Nothing is precomputed: F_13^6 has
+    4.8 million vectors.
     """
 
     def __init__(self, p: int, dim: int):
         self.p = p
         self.dim = dim
+        self.zero = (0,) * dim
         # offsets[j]: number of points whose leading coordinate lies after j
         self._offsets = [sum(p**e for e in range(dim - 1 - j)) for j in range(dim)]
         self.size = sum(p**e for e in range(dim))
         self._spans: dict[tuple, int] = {}
 
-    def index(self, v) -> int:
-        """Projective-point index of a vector of residues mod p (0 if zero)."""
-        p = self.p
-        for j, lead in enumerate(v):
+    def canonical(self, v) -> Word:
+        """Canonical representative of a vector of residues mod p."""
+        for lead in v:
             if lead:
-                inv = pow(lead, p - 2, p)
+                inv = pow(lead, self.p - 2, self.p)
+                return tuple(a * inv % self.p for a in v)
+        return tuple(v)
+
+    def index(self, rep) -> int:
+        """Index of the point with canonical representative rep (0 if zero)."""
+        for j, lead in enumerate(rep):
+            if lead:
                 tail = 0
-                for a in v[j + 1 :]:
-                    tail = tail * p + a * inv % p
+                for a in rep[j + 1 :]:
+                    tail = tail * self.p + a
                 return 1 + self._offsets[j] + tail
         return 0
 
     def point(self, q: int) -> Word:
         """Canonical representative of the nonzero point with index q."""
-        if not 1 <= q <= self.size:
-            raise InvalidInput("not a projective point index", index=q, size=self.size)
         p, dim = self.p, self.dim
         j, offset = next((j, o) for j, o in enumerate(self._offsets) if q > o)
         tail = q - 1 - offset
@@ -75,28 +84,56 @@ class _SpanOracle:
             digits.append(a)
         return (0,) * j + (1,) + tuple(reversed(digits))
 
+    def _reduce(self, basis, v):
+        p = self.p
+        for pivot, row in basis:
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
+
+    def basis(self, vectors) -> list:
+        """Row echelon basis of the span of the given vectors, as (pivot, row)
+        pairs sorted by pivot: each row is 1 at its pivot and 0 before it."""
+        p = self.p
+        basis: list = []
+        for v in vectors:
+            v = self._reduce(basis, v)
+            lead = next((j for j, a in enumerate(v) if a), None)
+            if lead is None:
+                continue
+            inv = pow(v[lead], p - 2, p)
+            basis.append((lead, [a * inv % p for a in v]))
+            basis.sort()
+        return basis
+
     def span_mask(self, points: tuple) -> int:
+        """Bitmask of the span of the points with the given sorted indices."""
         mask = self._spans.get(points)
         if mask is None:
             p = self.p
-            vectors = {(0,) * self.dim}
-            for q in points:
-                v = self.point(q)
-                vectors = {
-                    tuple((a + c * b) % p for a, b in zip(u, v))
-                    for u in vectors
-                    for c in range(p)
-                }
+            rows = [row for _, row in self.basis([self.point(q) for q in points])]
             mask = 0
-            for u in vectors:
-                mask |= 1 << self.index(u)
-            mask = self._spans[points] = mask & ~1
+            # Each point of the span has exactly one canonical representative
+            # row j + (a combination of the later rows): the later rows are 0
+            # at and before pivot j.
+            later = [self.zero]
+            for j in range(len(rows) - 1, -1, -1):
+                row = rows[j]
+                for w in later:
+                    mask |= 1 << self.index([(a + b) % p for a, b in zip(row, w)])
+                if j:
+                    later = [
+                        [(a + c * b) % p for a, b in zip(w, row)] for w in later for c in range(p)
+                    ]
+            self._spans[points] = mask
         return mask
 
     def in_position(self, xs, ys) -> bool:
-        """gp on point indices: every x point is nonzero and outside the span
-        of every set of at most dim-1 points at the other positions."""
-        if 0 in xs:
+        """gp on canonical representatives: every x point is nonzero and
+        outside the span of every set of at most dim-1 points at the other
+        positions."""
+        if self.zero in xs:
             return False
         if self.dim == 1 or not xs:
             return True
@@ -107,23 +144,24 @@ class _SpanOracle:
             return False
         if self.dim == 2:
             return True
-        points = sorted(distinct.union(ys) - {0})
-        xmask = 0
-        for q in distinct:
-            xmask |= 1 << q
-        for size in range(2, min(self.dim - 1, len(points)) + 1):
+        points = list(distinct.union(ys) - {self.zero})
+        for size in range(2, min(self.dim - 1, len(points) - 1) + 1):
             for subset in itertools.combinations(points, size):
-                own = 0
-                for q in subset:
-                    own |= 1 << q
-                if self.span_mask(subset) & xmask & ~own:
+                outside = distinct.difference(subset)
+                if not outside:
+                    continue
+                basis = self.basis(subset)
+                # A dependent set spans what a smaller one does, checked already.
+                if len(basis) == size and any(
+                    not any(self._reduce(basis, v)) for v in outside
+                ):
                     return False
         return True
 
-    def blocks(self, ws) -> bool:
+    def blocks(self, reps) -> bool:
         """True when the spans of at most dim-1 points of the word cover
         every point, so no vector is in general position to it."""
-        points = sorted(set(ws) - {0})
+        points = sorted({self.index(v) for v in reps} - {0})
         full = (1 << (self.size + 1)) - 2
         covered = 0
         for size in range(1, min(self.dim - 1, len(points)) + 1):
@@ -151,8 +189,8 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
     if any(len(v) != dim for v in entries):
         raise InvalidInput("vector entries have mismatched dimensions", dim=dim)
     oracle = _SpanOracle(p, dim)
-    points = [oracle.index([a % p for a in v]) for v in entries]
-    return oracle.in_position(points[: len(x)], points[len(x) :])
+    reps = [oracle.canonical([a % p for a in v]) for v in entries]
+    return oracle.in_position(reps[: len(x)], reps[len(x) :])
 
 
 class GeneralPositionRelation(ABC):
@@ -198,16 +236,17 @@ class InjectiveRelation(GeneralPositionRelation):
 
 
 class VectorRelation(GeneralPositionRelation):
-    """Vectors over F_p^dim in general position, decided on span bitmasks.
+    """Vectors over F_p^dim in general position, decided on projective points.
 
-    The relation only depends on entries up to nonzero scaling.  Each symbol
-    is mapped once to the index of its projective point (0 for the zero
-    vector); the map is memoised, and a symbol is validated against the
-    alphabet on its first lookup.  gp(x; y) then holds iff every x index is
-    nonzero and no x point lies in the cached span bitmask of a set of at
-    most dim-1 distinct points at the other positions; a word blocks iff the
-    union of those bitmasks over its own points is every point.  Candidate
-    enumeration works over canonical projective representatives.
+    The relation only depends on entries up to nonzero scaling.  A symbol is
+    validated against the alphabet on its first lookup and replaced by the
+    canonical representative of its projective point, which is memoised.
+    gp(x; y) holds iff the x points are nonzero, pairwise distinct and absent
+    from y (which settles spans of one point, and all of dimension 2), and no
+    x point reduces to zero against the row echelon basis of a set of
+    2..dim-1 points at the other positions.  A word blocks iff the union of
+    the cached span bitmasks of its sets of at most dim-1 points is every
+    point.  Candidate enumeration works over canonical representatives.
     """
 
     set_blocking = True
@@ -218,31 +257,29 @@ class VectorRelation(GeneralPositionRelation):
         self.dim = dim
         self.name = "vec"
         self._oracle = _SpanOracle(p, dim)
-        self._indices: dict[tuple, int] = {}
+        self._reps: dict[tuple, Word] = {}
 
-    def _point_index(self, v) -> int:
+    def _canonical(self, v) -> Word:
         key = tuple(v)
-        try:
-            q = self._indices.get(key)
-        except TypeError:  # an unhashable entry; check_symbol rejects it
-            q = None
-        # The sum of the entries is an int exactly when every entry is, so a
-        # float equal to a memoised symbol, say (1.0, 0), is still rejected.
-        if q is None or type(sum(key)) is not int:
-            q = self._oracle.index(self.alphabet.check_symbol(key))
-            self._indices.setdefault(key, q)
-        return q
+        # Only a tuple of exact ints may hit the memo: (1.0, 0) equals (1, 0)
+        # but is not a symbol, so it goes through check_symbol like any other.
+        if all(type(a) is int for a in key):
+            rep = self._reps.get(key)
+            if rep is not None:
+                return rep
+        rep = self._reps[key] = self._oracle.canonical(self.alphabet.check_symbol(key))
+        return rep
 
     def gp(self, x, y) -> bool:
-        xs = [self._point_index(v) for v in x]
-        ys = [self._point_index(v) for v in y]
+        xs = [self._canonical(v) for v in x]
+        ys = [self._canonical(v) for v in y]
         return self._oracle.in_position(xs, ys)
 
     def projective_point(self, v) -> Word:
-        q = self._point_index(v)
-        if not q:
+        rep = self._canonical(v)
+        if rep == self._oracle.zero:
             raise InvalidInput("the zero vector has no projective point")
-        return self._oracle.point(q)
+        return rep
 
     def projective_points(self) -> list:
         """Canonical representatives of every projective point, sorted."""
@@ -252,7 +289,7 @@ class VectorRelation(GeneralPositionRelation):
         return self.projective_points()
 
     def is_blocking(self, word) -> bool:
-        return self._oracle.blocks([self._point_index(v) for v in word])
+        return self._oracle.blocks([self._canonical(v) for v in word])
 
 
 # -- axiom checking ----------------------------------------------------------

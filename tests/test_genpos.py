@@ -44,6 +44,21 @@ def test_gp_vec_examples():
     assert not gp_vec([(1, 0)], [(2, 0)], p=3)
 
 
+def test_gp_vec_large_fields_decide_by_row_reduction():
+    # Membership is decided by row reduction, never by listing a span, so a
+    # large p or dim costs no more than a small one.
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert gp_vec([e1], [e2, e3], p=10007)
+    assert not gp_vec([e1], [e2, (5, 7, 0)], p=10007)
+    assert not gp_vec([(3, 0, 0)], [(10010, 0, 0)], p=10007)
+    basis = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    assert gp_vec(basis[:1], basis[1:], p=13)
+    # e1 = (e1 + ... + e6) - e2 - ... - e6 needs six other points, one more
+    # than dim - 1; with e6 dropped from the sum it needs five.
+    assert gp_vec(basis[:1], basis[1:] + [(1,) * 6], p=13)
+    assert not gp_vec(basis[:1], basis[1:] + [(1,) * 5 + (0,)], p=13)
+
+
 def test_gp_vec_rejects_mixed_dimensions():
     with pytest.raises(InvalidInput):
         gp_vec([(1, 0)], [(1, 0, 0)], p=2)
@@ -121,7 +136,7 @@ def _brute_gp(x, y, p, dim):
     return True
 
 
-ORACLE_CASES = [(p, dim) for p in (2, 3, 5, 7) for dim in (1, 2, 3)] + [(2, 4)]
+ORACLE_CASES = [(p, dim) for p in (2, 3, 5, 7) for dim in (1, 2, 3)] + [(2, 4), (11, 3), (13, 4)]
 
 
 @pytest.mark.parametrize("p,dim", ORACLE_CASES)
@@ -153,7 +168,9 @@ def test_vector_relation_matches_brute_force(p, dim):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("p,dim", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 1)])
+@pytest.mark.parametrize(
+    "p,dim", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3), (2, 4), (3, 1)]
+)
 def test_is_blocking_matches_brute_force(p, dim):
     rng = random.Random(p * dim)
     R = VectorRelation(p, dim)
