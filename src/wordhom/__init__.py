@@ -37,25 +37,16 @@ from .genpos import (
     gp_vec,
 )
 from .grouphom import (
-    BarComplexRep,
     NakaokaReport,
     PermutationGroup,
     abelianization,
     bar_boundary,
     build_bar_complex,
     group_homology,
-    nakaoka_check,
     nakaoka_table,
     sym_homology,
 )
-from .homology import (
-    HomologyGroup,
-    derangement_count,
-    homology,
-    homology_of_pair,
-    homology_table,
-    rank_formula,
-)
+from .homology import HomologyGroup, derangement_count, homology_table, rank_formula
 from .linalg import SparseIntMatrix, rank, rank_mod_p, smith_normal_form
 
 __version__ = "0.1.0"
@@ -63,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "AxiomReport",
-    "BarComplexRep",
     "Chain",
     "ChainComplexRep",
     "DisjointnessViolation",
@@ -101,11 +91,8 @@ __all__ = [
     "gp_order",
     "gp_vec",
     "group_homology",
-    "homology",
-    "homology_of_pair",
     "homology_table",
     "i_invariant",
-    "nakaoka_check",
     "nakaoka_table",
     "rank",
     "rank_formula",

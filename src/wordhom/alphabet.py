@@ -22,7 +22,7 @@ Word = tuple
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ground alphabet of a word complex."""
+    """Ground alphabet of a word complex; sizes are exact ints, not True or 2.0."""
 
     kind: str  # "letters" or "vectors"
     m: int = 0
@@ -31,18 +31,18 @@ class Alphabet:
 
     @staticmethod
     def letters(m: int) -> "Alphabet":
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise InvalidInput("letters alphabet needs a positive integer size", m=m)
         return Alphabet(kind="letters", m=m)
 
     @staticmethod
     def vectors(p: int, dim: int) -> "Alphabet":
-        if p not in SUPPORTED_PRIMES:
+        if type(p) is not int or p not in SUPPORTED_PRIMES:
             raise InvalidInput(
                 "vector alphabets are supported over prime fields with p <= 13",
                 p=p,
             )
-        if not isinstance(dim, int) or not 1 <= dim <= MAX_VECTOR_DIM:
+        if type(dim) is not int or not 1 <= dim <= MAX_VECTOR_DIM:
             raise InvalidInput("vector dimension must be between 1 and 6", dim=dim)
         return Alphabet(kind="vectors", p=p, dim=dim)
 

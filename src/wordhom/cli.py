@@ -184,8 +184,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
     else:
         max_degree = int(args.max_degree)
     complex_rep = build_gp(relation, base, max_degree, config.max_basis)
-    top = complex_rep.top_degree if complex_rep.complete else complex_rep.top_degree - 1
-    groups = homology_table(complex_rep, range(0, top + 1))
+    groups = homology_table(complex_rep)
     problems = [
         f"H_{k} = {groups[k]} but triviality is claimed for degrees <= {bound}"
         for k in sorted(groups)

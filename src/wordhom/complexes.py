@@ -1,11 +1,14 @@
-"""Materialize word complexes as based chain complexes with sparse boundaries.
+"""The based chain complex type, and the builders of word complexes.
 
-Three builders are provided: the complex of injective words on m letters
-(complete), the full word complex truncated at a chosen degree, and the
-subcomplex of words in general position to a base word.  Bases are stored in
-canonical (lexicographic) order, column j of each boundary matrix is the
-boundary of basis word j expressed in the lower basis, and d_k d_{k+1} = 0 is
-checked at construction time.
+``ChainComplexRep`` is the one complex type: ranks, sparse integer boundary
+matrices and, for word complexes, the bases; ``grouphom.build_bar_complex``
+returns one without bases.  Constructing one checks d_k d_{k+1} = 0.
+
+Three word-complex builders are provided: the complex of injective words on
+m letters (complete), the full word complex truncated at a chosen degree, and
+the subcomplex of words in general position to a base word.  Bases are stored
+in canonical (lexicographic) order, and column j of each boundary matrix is
+the boundary of basis word j expressed in the lower basis.
 """
 
 from __future__ import annotations
@@ -41,29 +44,41 @@ def max_basis_limit(override: int | None = None) -> int:
 class ChainComplexRep:
     """Based chain complex with explicit sparse integer boundary matrices.
 
-    ``complete`` means every degree of the complex is materialized (all higher
-    chain groups are zero); otherwise the complex is truncated at top_degree
-    and homology is only reliable strictly below it.
+    ``dims[k]`` is the rank of the degree-k chain group and ``boundaries[k-1]``
+    maps degree k to degree k-1.  ``complete`` means every degree of the
+    complex is materialized (all higher chain groups are zero); otherwise the
+    complex is truncated at top_degree and homology is only reliable strictly
+    below it.  Word complexes also carry their alphabet and bases, and column
+    j of ``boundaries[k-1]`` is the boundary of ``bases[k][j]``; bar complexes
+    leave ``bases`` None and never list their generators.  Construction
+    checks d_k d_{k+1} = 0.
     """
 
-    alphabet: Alphabet
-    bases: tuple[tuple[Word, ...], ...]
-    boundaries: tuple[SparseIntMatrix, ...]  # boundaries[k-1] maps degree k to k-1
+    dims: tuple[int, ...]
+    boundaries: tuple[SparseIntMatrix, ...]
     complete: bool
+    alphabet: Alphabet | None = None
+    bases: tuple[tuple[Word, ...], ...] | None = None
     description: dict | None = None
+
+    def __post_init__(self):
+        self._check_square_zero()
+
+    def _check_square_zero(self):
+        for k in range(1, len(self.boundaries)):
+            if not self.boundaries[k - 1].mul(self.boundaries[k]).is_zero():
+                raise InternalInvariantBroken("d^2 is nonzero", degree=k + 1)
 
     @property
     def top_degree(self) -> int:
-        return len(self.bases) - 1
+        return len(self.dims) - 1
 
     def dim(self, k: int) -> int:
-        if 0 <= k <= self.top_degree:
-            return len(self.bases[k])
-        return 0
+        return self.dims[k] if 0 <= k <= self.top_degree else 0
 
     def basis(self, k: int) -> tuple[Word, ...]:
-        if not 0 <= k <= self.top_degree:
-            raise InvalidInput("degree not materialized", degree=k)
+        if self.bases is None or not 0 <= k <= self.top_degree:
+            raise InvalidInput("no basis listed at this degree", degree=k)
         return self.bases[k]
 
     def boundary_matrix(self, k: int) -> SparseIntMatrix:
@@ -71,36 +86,30 @@ class ChainComplexRep:
             raise InvalidInput("no boundary matrix at this degree", degree=k)
         return self.boundaries[k - 1]
 
-    def basis_chain(self, k: int, index: int) -> Chain:
-        return Chain.term(self.alphabet, self.bases[k][index])
-
     def verify(self):
-        """Recheck d_k d_{k+1} = 0 and the column/boundary correspondence."""
-        for k in range(1, self.top_degree):
-            if not self.boundaries[k - 1].mul(self.boundaries[k]).is_zero():
-                raise InternalInvariantBroken("d^2 is nonzero", degree=k + 1)
+        """Recheck d_k d_{k+1} = 0 and, given bases, each matrix column."""
+        self._check_square_zero()
+        if self.bases is None:
+            return
         for k in range(1, self.top_degree + 1):
             index = {w: i for i, w in enumerate(self.bases[k - 1])}
-            matrix = self.boundaries[k - 1]
+            expected = {}
             for j, word in enumerate(self.bases[k]):
-                expected = Chain.term(self.alphabet, word).boundary()
-                column = {r: v for (r, c), v in matrix.items() if c == j}
-                stated = {index[w]: c for w, c in expected.terms()}
-                if column != stated:
-                    raise InternalInvariantBroken(
-                        "matrix column disagrees with the boundary operator",
-                        degree=k,
-                        column=j,
-                    )
+                for face, c in Chain.term(self.alphabet, word).boundary().terms():
+                    expected[index.get(face), j] = c
+            differ = expected.items() ^ self.boundaries[k - 1].items()
+            if differ:
+                raise InternalInvariantBroken(
+                    "matrix column disagrees with the boundary operator",
+                    degree=k,
+                    column=min(j for (_, j), _ in differ),
+                )
 
     def to_json(self) -> dict:
-        return {
-            "alphabet": self.alphabet.to_json(),
+        out = {
             "complete": self.complete,
             "description": self.description or {},
-            "bases": [
-                [self.alphabet.word_to_json(w) for w in level] for level in self.bases
-            ],
+            "dims": list(self.dims),
             "boundaries": [
                 {
                     "degree": k,
@@ -111,6 +120,12 @@ class ChainComplexRep:
                 for k, m in enumerate(self.boundaries, start=1)
             ],
         }
+        if self.bases is not None:
+            out["alphabet"] = self.alphabet.to_json()
+            out["bases"] = [
+                [self.alphabet.word_to_json(w) for w in level] for level in self.bases
+            ]
+        return out
 
 
 def _boundary_matrix(alphabet: Alphabet, lower: tuple, upper: tuple) -> SparseIntMatrix:
@@ -139,17 +154,14 @@ def _boundary_matrix(alphabet: Alphabet, lower: tuple, upper: tuple) -> SparseIn
 
 def _assemble(alphabet, levels, complete, description) -> ChainComplexRep:
     bases = tuple(tuple(level) for level in levels)
-    boundaries = tuple(
-        _boundary_matrix(alphabet, bases[k - 1], bases[k]) for k in range(1, len(bases))
-    )
-    for k in range(1, len(boundaries)):
-        if not boundaries[k - 1].mul(boundaries[k]).is_zero():
-            raise InternalInvariantBroken("d^2 is nonzero", degree=k + 1)
     return ChainComplexRep(
+        dims=tuple(len(level) for level in bases),
+        boundaries=tuple(
+            _boundary_matrix(alphabet, bases[k - 1], bases[k]) for k in range(1, len(bases))
+        ),
+        complete=complete,
         alphabet=alphabet,
         bases=bases,
-        boundaries=boundaries,
-        complete=complete,
         description=description,
     )
 

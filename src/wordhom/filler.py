@@ -203,7 +203,6 @@ def fill_gp(
     relation: GeneralPositionRelation,
     base=(),
     order_value: int | None = None,
-    picker=None,
 ) -> FillCertificate:
     """Fill a cycle inside the subcomplex of words in general position to base.
 
@@ -245,8 +244,7 @@ def fill_gp(
             "satisfied": bound_ok,
         }
     ]
-    candidates = list(picker) if picker is not None else relation.extension_candidates()
-    filling = _fill_gp(c, relation, base, candidates, steps, depth=0)
+    filling = _fill_gp(c, relation, base, relation.extension_candidates(), steps, depth=0)
     for word, _ in filling.terms():
         if not relation.gp(word, base):
             raise InternalInvariantBroken(

@@ -2,8 +2,9 @@
 
 The (normalized) bar complex of a finite group G has (|G|-1)^k generators in
 degree k, tuples of non-identity elements; the usual alternating face sum is
-the differential, with faces that merge to the identity dropped.  Integral
-homology then comes out of the shared Smith normal form machinery.  The
+the differential, with faces that merge to the identity dropped.  The bar
+complex is a ChainComplexRep without bases, so its integral homology comes
+out of homology_table like that of any word complex.  The
 abelianization is computed independently, by enumerating the commutator
 subgroup, and serves as a cross-check on degree-one homology.
 """
@@ -13,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit
-from .homology import HomologyGroup, homology, homology_table
+from .complexes import ChainComplexRep
+from .errors import InvalidInput, ResourceLimit
+from .homology import HomologyGroup, homology_table
 from .linalg import SparseIntMatrix, smith_normal_form
 
 DEFAULT_MAX_GENERATORS = 20_000
@@ -147,47 +149,25 @@ def bar_boundary(
     return SparseIntMatrix(len(lower), len(upper), entries)
 
 
-@dataclass(frozen=True)
-class BarComplexRep:
-    """Truncated bar complex; plugs into the homology machinery."""
-
-    group: PermutationGroup
-    normalized: bool
-    dims: tuple[int, ...]
-    matrices: tuple[SparseIntMatrix, ...]
-    complete: bool = False
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
-
-    def dim(self, k: int) -> int:
-        return self.dims[k] if 0 <= k <= self.top_degree else 0
-
-    def boundary_matrix(self, k: int) -> SparseIntMatrix:
-        if not 1 <= k <= self.top_degree:
-            raise InvalidInput("no boundary matrix at this degree", degree=k)
-        return self.matrices[k - 1]
-
-
 def build_bar_complex(
     group: PermutationGroup,
     max_degree: int,
     normalized: bool = True,
     max_generators: int = DEFAULT_MAX_GENERATORS,
-) -> BarComplexRep:
+) -> ChainComplexRep:
+    """Bar complex of the group through max_degree, truncated there."""
     if max_degree < 0:
         raise InvalidInput("need max_degree >= 0", max_degree=max_degree)
     width = (group.order - 1) if normalized else group.order
-    dims = tuple(width**k for k in range(max_degree + 1))
-    matrices = tuple(
-        bar_boundary(group, k, normalized, max_generators)
-        for k in range(1, max_degree + 1)
+    return ChainComplexRep(
+        dims=tuple(width**k for k in range(max_degree + 1)),
+        boundaries=tuple(
+            bar_boundary(group, k, normalized, max_generators)
+            for k in range(1, max_degree + 1)
+        ),
+        complete=False,
+        description={"complex": "bar", "group": group.name, "normalized": normalized},
     )
-    for k in range(1, len(matrices)):
-        if not matrices[k - 1].mul(matrices[k]).is_zero():
-            raise InternalInvariantBroken("bar differential failed d^2 = 0", degree=k + 1)
-    return BarComplexRep(group=group, normalized=normalized, dims=dims, matrices=matrices)
 
 
 def group_homology(
@@ -200,7 +180,7 @@ def group_homology(
     if m < 0:
         raise InvalidInput("need m >= 0", m=m)
     bar = build_bar_complex(group, m + 1, normalized, max_generators)
-    return homology(bar, m)
+    return homology_table(bar, [m])[m]
 
 
 def sym_homology(
@@ -303,34 +283,17 @@ class NakaokaReport:
         }
 
 
-def nakaoka_check(
-    n: int,
-    m: int,
-    normalized: bool = True,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
-) -> NakaokaReport:
-    """Compare H_m(S_{n-1}) with H_m(S_n) and report whether m < n/2."""
-    if n < 2:
-        raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
-    lhs = sym_homology(n - 1, m, normalized, max_generators)
-    rhs = sym_homology(n, m, normalized, max_generators)
-    return NakaokaReport(
-        n=n,
-        m=m,
-        lhs=lhs,
-        rhs=rhs,
-        in_range=2 * m < n,
-        equal=lhs == rhs,
-    )
-
-
 def nakaoka_table(
     n: int,
     max_degree: int,
     normalized: bool = True,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> list[NakaokaReport]:
-    """nakaoka_check for every degree up to max_degree, sharing bar complexes."""
+    """Compare H_m(S_{n-1}) with H_m(S_n) for m = 0..max_degree.
+
+    Row m reports degree m and whether m < n/2; both bar complexes are built
+    once and shared by all degrees.
+    """
     if n < 2:
         raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
     if max_degree < 0:

@@ -1,9 +1,10 @@
 """Integer homology of based chain complexes.
 
-Works against any complex object exposing ``dim(k)``, ``boundary_matrix(k)``,
-``top_degree`` and ``complete``; both word complexes and bar complexes
-qualify.  Betti numbers and torsion come from ranks and the Smith normal form
-of the incoming boundary; no basis of cycles is ever materialized.
+``homology_table`` is the one entry point.  It reads a ``ChainComplexRep``
+(word complexes and bar complexes alike) through ``dim(k)``,
+``boundary_matrix(k)``, ``top_degree`` and ``complete``.  Betti numbers and
+torsion come from the ranks and the Smith normal form of the incoming
+boundary; no basis of cycles is ever materialized.
 """
 
 from __future__ import annotations
@@ -54,76 +55,47 @@ class HomologyGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def homology_of_pair(dim_k: int, outgoing: SparseIntMatrix, incoming: SparseIntMatrix) -> HomologyGroup:
-    """Homology at a degree with given outgoing and incoming boundary matrices."""
-    rank_out = len(smith_normal_form(outgoing))
-    snf_in = smith_normal_form(incoming)
-    free = dim_k - rank_out - len(snf_in)
-    torsion = tuple(d for d in snf_in if d > 1)
-    return HomologyGroup(free, torsion)
-
-
-def _check_degree(complex_rep, k: int):
-    if k < 0:
-        raise InvalidInput("homology degree must be nonnegative", degree=k)
-    if not complex_rep.complete and k > complex_rep.top_degree - 1:
-        raise TruncationError(
-            "the complex is truncated; homology at this degree would be unreliable",
-            degree=k,
-            top_degree=complex_rep.top_degree,
-        )
-
-
-def _matrix_or_zero(complex_rep, k: int) -> SparseIntMatrix:
-    if 1 <= k <= complex_rep.top_degree:
-        return complex_rep.boundary_matrix(k)
-    # Degree 0 has no outgoing boundary; above the top of a complete complex
-    # every group is zero.
-    lower = complex_rep.dim(k - 1) if k - 1 <= complex_rep.top_degree else 0
-    upper = complex_rep.dim(k) if k <= complex_rep.top_degree else 0
-    return SparseIntMatrix.zero(max(lower, 0), max(upper, 0))
-
-
-def homology(complex_rep, k: int) -> HomologyGroup:
-    """Homology group of the complex at degree k.
-
-    Degrees beyond the truncation of an incomplete complex raise
-    TruncationError rather than returning a silently wrong answer.
-    """
-    _check_degree(complex_rep, k)
-    if complex_rep.complete and k > complex_rep.top_degree:
-        return HomologyGroup(0)
-    d_k = _matrix_or_zero(complex_rep, k)
-    d_k1 = _matrix_or_zero(complex_rep, k + 1)
-    return homology_of_pair(complex_rep.dim(k), d_k, d_k1)
-
-
 def homology_table(complex_rep, degrees=None) -> dict[int, HomologyGroup]:
-    """Homology at several degrees, computing each Smith normal form once."""
+    """Homology at the given degrees, computing each Smith normal form once.
+
+    By default every reliable degree: 0..top_degree of a complete complex,
+    0..top_degree-1 of a truncated one.  One degree is
+    ``homology_table(complex_rep, [k])[k]``.  A negative degree raises
+    InvalidInput, and a degree at or beyond the truncation of an incomplete
+    complex raises TruncationError rather than returning a silently wrong
+    answer.
+    """
+    top = complex_rep.top_degree
+    complete = complex_rep.complete
     if degrees is None:
-        top = complex_rep.top_degree
-        degrees = range(0, top + 1 if complex_rep.complete else top)
+        degrees = range(0, top + 1 if complete else top)
     degrees = sorted(set(degrees))
     for k in degrees:
-        _check_degree(complex_rep, k)
-    wanted = sorted(
-        {k for k in degrees if not (complex_rep.complete and k > complex_rep.top_degree)}
-        | {k + 1 for k in degrees if not (complex_rep.complete and k > complex_rep.top_degree)}
-    )
-    snf_cache = {k: smith_normal_form(_matrix_or_zero(complex_rep, k)) for k in wanted}
-
-    out = {}
-    for k in degrees:
-        if complex_rep.complete and k > complex_rep.top_degree:
-            out[k] = HomologyGroup(0)
-            continue
-        rank_out = len(snf_cache[k])
-        snf_in = snf_cache[k + 1]
-        out[k] = HomologyGroup(
-            complex_rep.dim(k) - rank_out - len(snf_in),
-            tuple(d for d in snf_in if d > 1),
+        if k < 0:
+            raise InvalidInput("homology degree must be nonnegative", degree=k)
+        if not complete and k > top - 1:
+            raise TruncationError(
+                "the complex is truncated; homology at this degree would be unreliable",
+                degree=k,
+                top_degree=top,
+            )
+    # Above the top of a complete complex every group is zero and needs no SNF.
+    live = [k for k in degrees if k <= top]
+    snf = {}
+    for k in sorted(set(live) | {k + 1 for k in live}):
+        if 1 <= k <= top:
+            matrix = complex_rep.boundary_matrix(k)
+        else:
+            # d_0 and d_{top+1} are zero maps.
+            matrix = SparseIntMatrix.zero(complex_rep.dim(k - 1), complex_rep.dim(k))
+        snf[k] = smith_normal_form(matrix)
+    return {
+        k: HomologyGroup(
+            complex_rep.dim(k) - len(snf.get(k, ())) - len(snf.get(k + 1, ())),
+            tuple(d for d in snf.get(k + 1, ()) if d > 1),
         )
-    return out
+        for k in degrees
+    }
 
 
 def derangement_count(m: int) -> int:

@@ -95,10 +95,6 @@ class SparseIntMatrix:
     def items(self):
         return self._entries.items()
 
-    def entries(self):
-        """Sorted coordinate list [(row, col, value), ...]."""
-        return [(r, c, v) for (r, c), v in sorted(self._entries.items())]
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -156,7 +152,8 @@ class SparseIntMatrix:
         )
 
     def to_coordinates(self) -> list:
-        return [[r, c, v] for r, c, v in self.entries()]
+        """Sorted coordinate list [[row, col, value], ...]."""
+        return [[r, c, v] for (r, c), v in sorted(self._entries.items())]
 
 
 def smith_normal_form(mat: SparseIntMatrix) -> list[int]:

@@ -160,6 +160,23 @@ def test_fill_rejects_malformed_chain(tmp_path, capture, chain):
     assert json.loads(out)["error"]["code"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "alphabet",
+    [
+        {"kind": "vectors", "p": 2.0, "dim": 2},
+        {"kind": "vectors", "p": True, "dim": 2},
+        {"kind": "vectors", "p": 2, "dim": True},
+        {"kind": "letters", "m": True},
+    ],
+)
+def test_fill_rejects_non_int_alphabet_size(tmp_path, capture, alphabet):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"alphabet": alphabet, "degree": 0, "terms": []}))
+    code, out = capture("fill", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
 def test_fill_rejects_base_not_in_general_position(tmp_path, capture):
     alphabet = Alphabet.vectors(5, 2)
     path = tmp_path / "point.json"

@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from wordhom import (
     Alphabet,
+    ChainComplexRep,
     InjectiveRelation,
+    InternalInvariantBroken,
     InvalidInput,
     ResourceLimit,
+    SparseIntMatrix,
     VectorRelation,
     build_full,
     build_gp,
@@ -165,6 +169,26 @@ def test_verify_passes_on_fresh_complexes():
     build_injective(3).verify()
     build_full(2, 3).verify()
     build_gp(VectorRelation(2, 2)).verify()
+
+
+def test_construction_rejects_nonzero_square():
+    one = SparseIntMatrix(1, 1, {(0, 0): 1})
+    with pytest.raises(InternalInvariantBroken):
+        ChainComplexRep(dims=(1, 1, 1), boundaries=(one, one), complete=True)
+
+
+def test_verify_rejects_an_altered_column():
+    # Negating a column of the top matrix keeps d^2 = 0, so only the column
+    # check can see it.
+    C = build_injective(3)
+    top = C.boundary_matrix(3)
+    negated = SparseIntMatrix(
+        top.rows, top.cols, {(r, c): -v if c == 2 else v for (r, c), v in top.items()}
+    )
+    altered = dataclasses.replace(C, boundaries=C.boundaries[:-1] + (negated,))
+    with pytest.raises(InternalInvariantBroken) as info:
+        altered.verify()
+    assert info.value.context == {"degree": 3, "column": 2}
 
 
 def test_complex_json_dump_shape():

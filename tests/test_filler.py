@@ -16,7 +16,7 @@ from wordhom import (
     fill_gp,
     fill_injective,
     gp_order,
-    homology,
+    homology_table,
     i_invariant,
 )
 from conftest import random_gp_chain
@@ -219,7 +219,7 @@ def test_fill_gp_out_of_range_may_exhaust():
 
     R = VectorRelation(2, 2)
     C = build_gp(R)
-    assert not homology(C, 3).is_trivial()
+    assert not homology_table(C, [3])[3].is_trivial()
     A = R.alphabet
     a, b, c = (0, 1), (1, 0), (1, 1)
     cycle = (

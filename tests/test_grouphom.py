@@ -9,7 +9,6 @@ from wordhom import (
     bar_boundary,
     build_bar_complex,
     group_homology,
-    nakaoka_check,
     nakaoka_table,
     sym_homology,
 )
@@ -116,18 +115,28 @@ def test_normalized_and_unnormalized_agree():
 
 
 def test_nakaoka_check_in_range_cases():
-    r = nakaoka_check(3, 1)
+    r = nakaoka_table(3, 1)[1]
     assert r.in_range and r.equal
     assert r.lhs == HomologyGroup(0, (2,)) == r.rhs
 
-    r = nakaoka_check(4, 1)
+    r = nakaoka_table(4, 1)[1]
     assert r.in_range and r.equal
 
 
 def test_nakaoka_check_out_of_range_makes_no_claim():
-    r = nakaoka_check(2, 1)
+    r = nakaoka_table(2, 1)[1]
     assert not r.in_range
     assert r.holds()  # vacuously
+
+
+def test_bar_complex_lists_no_basis():
+    bar = build_bar_complex(PermutationGroup.symmetric(3), 3)
+    assert bar.bases is None
+    assert bar.dims == (1, 5, 25, 125)
+    assert bar.description == {"complex": "bar", "group": "S_3", "normalized": True}
+    bar.verify()
+    with pytest.raises(InvalidInput):
+        bar.basis(1)
 
 
 def test_nakaoka_table_shares_complexes():

@@ -7,7 +7,6 @@ from wordhom import (
     build_full,
     build_injective,
     derangement_count,
-    homology,
     homology_table,
     rank_formula,
 )
@@ -32,15 +31,15 @@ def test_homology_group_rejects_broken_chain():
 
 def test_injective_homology_vanishes_below_top():
     C = build_injective(3)
-    assert homology(C, 1).is_trivial()
-    assert homology(C, 0).is_trivial()
-    assert homology(C, 2).is_trivial()
+    assert homology_table(C, [1])[1].is_trivial()
+    assert homology_table(C, [0])[0].is_trivial()
+    assert homology_table(C, [2])[2].is_trivial()
 
 
 def test_injective_homology_top_degree_m3():
     # two independent counts: the closed form and fixed-point-free permutations
     C = build_injective(3)
-    top = homology(C, 3)
+    top = homology_table(C, [3])[3]
     assert top == HomologyGroup(2)
     assert derangement_count(3) == 2
 
@@ -53,12 +52,12 @@ def test_injective_homology_top_degree_m2():
     spanning_cycle = Chain.term(A, (1, 2)) + Chain.term(A, (2, 1))
     assert spanning_cycle.boundary().is_zero()
     C = build_injective(2)
-    assert homology(C, 2) == HomologyGroup(1)
+    assert homology_table(C, [2])[2] == HomologyGroup(1)
 
 
 def test_injective_homology_above_top_is_trivial():
     C = build_injective(2)
-    assert homology(C, 5).is_trivial()
+    assert homology_table(C, [5])[5].is_trivial()
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -80,15 +79,15 @@ def test_full_complex_acyclic():
 def test_truncated_complex_refuses_unreliable_degree():
     C = build_full(2, 3)
     with pytest.raises(TruncationError):
-        homology(C, 3)
+        homology_table(C, [3])
     with pytest.raises(TruncationError):
-        homology(C, 7)
-    homology(C, 2)  # within the reliable range
+        homology_table(C, [7])
+    homology_table(C, [2])[2]  # within the reliable range
 
 
 def test_homology_rejects_negative_degree():
     with pytest.raises(InvalidInput):
-        homology(build_injective(2), -1)
+        homology_table(build_injective(2), [-1])
 
 
 def test_derangement_count_small_values():
