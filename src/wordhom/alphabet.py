@@ -63,7 +63,7 @@ class Alphabet:
             return s
         if not isinstance(s, tuple) or len(s) != self.dim:
             raise InvalidInput("vector symbol has the wrong shape", symbol=s, dim=self.dim)
-        if not all(isinstance(a, int) and 0 <= a < self.p for a in s):
+        if not all(type(a) is int and 0 <= a < self.p for a in s):
             raise InvalidInput("vector entries must be reduced residues mod p", symbol=s, p=self.p)
         return s
 

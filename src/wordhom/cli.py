@@ -229,7 +229,7 @@ def _cmd_fill(args, config: RunConfig) -> int:
     payload = certificate.to_json()
     lines = [
         f"filled a degree-{cycle.degree} cycle with {len(certificate.filling)} terms",
-        f"valid: {certificate.check()}",
+        f"valid: {payload['valid']}",
     ]
     _emit(payload, config, lines)
     return EXIT_OK

@@ -9,7 +9,10 @@ Two fillers are provided.  ``fill_injective`` works in the injective-word
 complex below the top degree: it fixes the smallest letter appearing in the
 cycle and pushes it rightward, one index per stage, by subtracting
 boundaries, until the letter leaves the cycle entirely; a cone over the
-absent letter finishes the job.  ``fill_gp`` does the analogous staircase in
+absent letter finishes the job.  Its recursion works on plain
+``{word: coeff}`` dicts and builds a ``Chain`` only for the final filling,
+which is checked once for injectivity: every filling word must use each
+letter at most once.  ``fill_gp`` does the analogous staircase in
 a general-position subcomplex, guided by the invariant ``i_invariant``: the
 longest prefix length every term keeps in general position to the pivot
 element, its own tail and the base word.  Each round strictly increases the
@@ -102,51 +105,76 @@ def fill_injective(c: Chain) -> FillCertificate:
         )
     _require_cycle(c)
     steps: list = []
-    filling = _fill_inj(c, frozenset(range(1, m + 1)), steps, depth=0)
+    terms = _fill_inj(dict(c.terms()), frozenset(range(1, m + 1)), steps, depth=0)
+    for word in terms:
+        if len(set(word)) != len(word):
+            raise InternalInvariantBroken("a filling word repeats a letter", word=word)
+    filling = Chain(alphabet, c.degree + 1, terms, _validated=True)
     return FillCertificate(c, filling, tuple(steps))
 
 
-def _fill_inj(c: Chain, allowed: frozenset, steps: list, depth: int) -> Chain:
-    alphabet = c.alphabet
-    n = c.degree
-    if c.is_zero():
-        return Chain.zero(alphabet, n + 1)
+def _add_into(out: dict, terms: dict):
+    """out += terms, dropping coefficients that cancel."""
+    for word, coeff in terms.items():
+        val = out.get(word, 0) + coeff
+        if val:
+            out[word] = val
+        else:
+            del out[word]
+
+
+def _sub_boundary(out: dict, terms: dict):
+    """out -= boundary(terms), the alternating sum of single-entry deletions."""
+    for word, coeff in terms.items():
+        c = -coeff
+        for j in range(len(word)):
+            face = word[:j] + word[j + 1 :]
+            val = out.get(face, 0) + c
+            if val:
+                out[face] = val
+            else:
+                del out[face]
+            c = -c
+
+
+def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
+    """Terms of a filling of the cycle ``work``, which is used as scratch."""
+    if not work:
+        return {}
+    n = len(next(iter(work)))
     if n == 0:
         y = min(allowed)
         steps.append({"action": "cone", "symbol": y, "degree": 0, "depth": depth})
-        return Chain.term(alphabet, (y,)).product(c, mode="disjoint")
+        return {(y,): work[()]}
     if n >= len(allowed):
         raise InternalInvariantBroken(
             "recursion left too few symbols to fill with", degree=n
         )
 
-    x = min(c.appearing_symbols())
-    work = c
-    parts: list[Chain] = []
+    x = min(min(word) for word in work)
+    out: dict = {}
+    present = True
     for stage in range(n):
         # Group the terms carrying x at this index by their suffix after x.
         groups: dict[tuple, dict] = {}
-        for word, coeff in work.terms():
-            if x in word and word.index(x) == stage:
+        for word, coeff in work.items():
+            if word[stage] == x:
                 groups.setdefault(word[stage + 1 :], {})[word[:stage]] = coeff
         if groups:
-            products = []
             for suffix in sorted(groups):
-                block = Chain(alphabet, stage, groups[suffix], _validated=True)
-                if not block.boundary().is_zero():
+                block = groups[suffix]
+                faces: dict = {}
+                _sub_boundary(faces, block)
+                if faces:
                     raise InternalInvariantBroken(
                         "a prefix block failed to be a cycle", suffix=suffix
                     )
                 sub_allowed = allowed - {x} - set(suffix)
-                if block.degree >= n:
-                    raise InternalInvariantBroken("recursion degree did not drop")
+                tail = (x,) + suffix
                 filled = _fill_inj(block, sub_allowed, steps, depth + 1)
-                products.append(
-                    filled.product(Chain.term(alphabet, (x,) + suffix), mode="disjoint")
-                )
-            z = Chain.sum(alphabet, n + 1, products)
-            work = work - z.boundary()
-            parts.append(z)
+                z = {word + tail: coeff for word, coeff in filled.items()}
+                _add_into(out, z)
+                _sub_boundary(work, z)
             steps.append(
                 {
                     "action": "push",
@@ -156,21 +184,24 @@ def _fill_inj(c: Chain, allowed: frozenset, steps: list, depth: int) -> Chain:
                     "depth": depth,
                 }
             )
-        for word, _ in work.terms():
-            if x in word[: stage + 1]:
-                raise InternalInvariantBroken(
-                    "the pivot letter survived inside the cleared prefix",
-                    stage=stage,
-                )
-        if x not in work.appearing_symbols():
+        present = False
+        for word in work:
+            if x in word:
+                if x in word[: stage + 1]:
+                    raise InternalInvariantBroken(
+                        "the pivot letter survived inside the cleared prefix",
+                        stage=stage,
+                    )
+                present = True
+        if not present:
             break
 
-    if x in work.appearing_symbols():
+    if present:
         raise InternalInvariantBroken("the pivot letter was never eliminated")
-    cone = Chain.term(alphabet, (x,)).product(work, mode="disjoint")
-    if not work.is_zero():
+    if work:
+        _add_into(out, {(x,) + word: coeff for word, coeff in work.items()})
         steps.append({"action": "cone", "symbol": x, "degree": n, "depth": depth})
-    return Chain.sum(alphabet, n + 1, [cone, *parts])
+    return out
 
 
 # -- general position --------------------------------------------------------

@@ -177,6 +177,20 @@ def test_fill_rejects_non_int_alphabet_size(tmp_path, capture, alphabet):
     assert json.loads(out)["error"]["code"] == "invalid-input"
 
 
+def test_fill_rejects_bool_vector_entries(tmp_path, capture):
+    # JSON true/false are not residues mod p, even though bool is an int.
+    chain = {
+        "alphabet": {"kind": "vectors", "p": 2, "dim": 2},
+        "degree": 1,
+        "terms": [{"coeff": 1, "word": [[True, False]]}, {"coeff": -1, "word": [[0, 1]]}],
+    }
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(chain))
+    code, out = capture("fill", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
 def test_fill_rejects_base_not_in_general_position(tmp_path, capture):
     alphabet = Alphabet.vectors(5, 2)
     path = tmp_path / "point.json"

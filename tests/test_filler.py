@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -114,6 +116,32 @@ def test_fill_injective_random_boundaries():
                 cycle = Chain(alphabet, n + 1, terms).boundary()
                 cert = fill_injective(cycle)
                 assert cert.filling.boundary() == cycle
+                for word, _ in cert.filling.terms():
+                    assert len(set(word)) == len(word)
+                    assert set(word) <= set(letters)
+
+
+def test_fill_injective_output_is_pinned():
+    # The certificates (filling and audit log) of a fixed seeded list of
+    # cycles on 7 and 8 letters hash to a recorded value, so any change to
+    # the filler's output or to the order of its steps shows here.
+    rng = random.Random(2031)
+    digest = hashlib.sha256()
+    for m in (7, 8):
+        alphabet = Alphabet.letters(m)
+        letters = list(range(1, m + 1))
+        for _ in range(25):
+            n = rng.randint(1, m - 1)
+            terms = {
+                tuple(rng.sample(letters, n + 1)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 3))
+            }
+            cycle = Chain(alphabet, n + 1, terms).boundary()
+            payload = fill_injective(cycle).to_json()
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8088d3152da56aeb5c44ebbffbe3314f3cf36766f8917a6d6bd3f91f86bdae21"
+    )
 
 
 # -- the prefix invariant -----------------------------------------------------------

@@ -193,7 +193,7 @@ def test_vector_relation_validates_memoised_symbols():
     R = VectorRelation(3, 2)
     assert R.gp(((1, 0),), ((0, 1),))
     # A symbol equal to a memoised one must not skip validation: 1.0 == 1.
-    for bad in [(1.0, 0), (3, 0), (1, 0, 0), ([1], 0)]:
+    for bad in [(1.0, 0), (True, 0), (3, 0), (1, 0, 0), ([1], 0)]:
         with pytest.raises(InvalidInput):
             R.gp((bad,), ())
         with pytest.raises(InvalidInput):
