@@ -17,6 +17,30 @@ from .errors import DisjointnessViolation, InvalidInput
 PRODUCT_MODES = ("concat", "disjoint")
 
 
+def add_terms(out: dict, terms: dict, k: int = 1) -> None:
+    """out += k * terms on {word: coeff} dicts, dropping words that cancel."""
+    for word, coeff in terms.items():
+        val = out.get(word, 0) + k * coeff
+        if val:
+            out[word] = val
+        else:
+            out.pop(word, None)
+
+
+def add_boundary(out: dict, terms: dict, k: int = 1) -> None:
+    """out += k * boundary(terms), the alternating sum of single-entry deletions."""
+    for word, coeff in terms.items():
+        c = k * coeff
+        for j in range(len(word)):
+            face = word[:j] + word[j + 1 :]
+            val = out.get(face, 0) + c
+            if val:
+                out[face] = val
+            else:
+                out.pop(face, None)
+            c = -c
+
+
 class Chain:
     """Immutable homogeneous chain."""
 
@@ -96,26 +120,22 @@ class Chain:
         if other.alphabet != self.alphabet:
             raise InvalidInput("chains live over different alphabets")
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _combine(self, other: "Chain", k: int) -> "Chain":
+        """self + k * other; a zero chain adds to a chain of any degree."""
         self._compatible(other)
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
+        if self._terms and other._terms and self.degree != other.degree:
             raise InvalidInput(
                 "cannot add chains of different degrees",
                 left=self.degree,
                 right=other.degree,
             )
         out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            val = out.get(word, 0) + coeff
-            if val:
-                out[word] = val
-            else:
-                out.pop(word, None)
-        return Chain(self.alphabet, self.degree, out, _validated=True)
+        add_terms(out, other._terms, k)
+        degree = self.degree if self._terms else other.degree
+        return Chain(self.alphabet, degree, out, _validated=True)
+
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Chain":
         return Chain(
@@ -126,7 +146,7 @@ class Chain:
         )
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, k: int) -> "Chain":
         if not k:
@@ -141,28 +161,6 @@ class Chain:
     def __rmul__(self, k: int) -> "Chain":
         return self.scale(k)
 
-    @staticmethod
-    def sum(alphabet: Alphabet, degree: int, chains) -> "Chain":
-        """Sum of chains of one degree, accumulated in a single term dict.
-
-        A running ``total = total + part`` copies the total on every step;
-        this adds each term once.  Zero chains are skipped whatever their
-        stored degree, as in ``+``.
-        """
-        out: dict[Word, int] = {}
-        for chain in chains:
-            if chain.is_zero():
-                continue
-            if chain.alphabet != alphabet or chain.degree != degree:
-                raise InvalidInput(
-                    "summands must share the alphabet and the degree",
-                    degree=degree,
-                    summand_degree=chain.degree,
-                )
-            for word, coeff in chain._terms.items():
-                out[word] = out.get(word, 0) + coeff
-        return Chain(alphabet, degree, out, _validated=True)
-
     # -- the operations of the algebra ---------------------------------
     def boundary(self) -> "Chain":
         """Alternating sum of single-entry deletions.
@@ -173,16 +171,7 @@ class Chain:
         if self.degree == 0:
             return Chain.zero(self.alphabet, 0)
         out: dict[Word, int] = {}
-        for word, coeff in self._terms.items():
-            sign = 1
-            for j in range(len(word)):
-                face = word[:j] + word[j + 1 :]
-                val = out.get(face, 0) + sign * coeff
-                if val:
-                    out[face] = val
-                else:
-                    out.pop(face, None)
-                sign = -sign
+        add_boundary(out, self._terms)
         return Chain(self.alphabet, self.degree - 1, out, _validated=True)
 
     def product(self, other: "Chain", mode: str = "concat") -> "Chain":

@@ -21,7 +21,6 @@ from .complexes import build_full, build_gp, build_injective
 from .errors import (
     InternalInvariantBroken,
     InvalidInput,
-    PreconditionViolated,
     ResourceLimit,
     VerificationFailed,
     WordhomError,
@@ -170,11 +169,6 @@ def _cmd_homology(args, config: RunConfig) -> int:
     else:
         raise InvalidInput("homology gp needs --p/--dim or --m")
     base = _parse_base(relation.alphabet, args.base)
-    if not relation.gp(base, ()):
-        raise PreconditionViolated(
-            "the base word is not in general position",
-            base=relation.alphabet.word_to_json(base),
-        )
     order = gp_order(relation)
     bound = (order.lower_bound - len(base) - 1) // 2
     if args.max_degree == "auto":
@@ -182,16 +176,18 @@ def _cmd_homology(args, config: RunConfig) -> int:
     elif args.max_degree is None:
         max_degree = max(bound + 1, 1)
     else:
-        max_degree = int(args.max_degree)
+        max_degree = args.max_degree
     complex_rep = build_gp(relation, base, max_degree, config.max_basis)
     groups = homology_table(complex_rep)
+    # The claim covers only the degrees that were computed.
+    claimed = min(bound, max(groups))
     problems = [
-        f"H_{k} = {groups[k]} but triviality is claimed for degrees <= {bound}"
+        f"H_{k} = {groups[k]} but triviality is claimed for degrees <= {claimed}"
         for k in sorted(groups)
-        if k <= bound and not groups[k].is_trivial()
+        if k <= claimed and not groups[k].is_trivial()
     ]
     verified = {
-        "claim": f"trivial for degrees <= {bound}",
+        "claim": f"trivial for degrees <= {claimed}",
         "order": order.to_json(relation.alphabet),
         "holds": not problems,
         "problems": problems,
@@ -399,16 +395,19 @@ def _validate_hom_args(args):
     if args.command == "homology":
         if args.variant in ("inj", "full") and args.m is None:
             raise InvalidInput(f"homology {args.variant} needs --m")
-        if args.variant == "full":
-            if args.max_degree is None:
-                raise InvalidInput("homology full needs --max-degree")
+        if args.variant == "full" and args.max_degree is None:
+            raise InvalidInput("homology full needs --max-degree")
+        if args.variant == "full" or (
+            args.variant == "gp" and args.max_degree not in (None, "auto")
+        ):
             try:
                 args.max_degree = int(args.max_degree)
             except ValueError as exc:
                 raise InvalidInput("--max-degree must be an integer here") from exc
             if args.max_degree < 1:
                 raise InvalidInput(
-                    "homology full needs --max-degree >= 1", max_degree=args.max_degree
+                    f"homology {args.variant} needs --max-degree >= 1",
+                    max_degree=args.max_degree,
                 )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .alphabet import Alphabet, Word
 from .chains import Chain
-from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit
+from .errors import InternalInvariantBroken, InvalidInput, PreconditionViolated, ResourceLimit
 from .genpos import GeneralPositionRelation
 from .linalg import SparseIntMatrix
 
@@ -222,10 +222,16 @@ def build_gp(
     general position to it, so each level extends the previous one.  In auto
     mode (max_degree None) levels are built until one is empty, which is how
     intrinsically bounded relations terminate; unbounded growth runs into the
-    basis budget instead.
+    basis budget instead.  The base must itself be in general position,
+    gp(base; ()), or PreconditionViolated is raised.
     """
     alphabet = relation.alphabet
     base = alphabet.check_word(base)
+    if not relation.gp(base, ()):
+        raise PreconditionViolated(
+            "the base word is not in general position",
+            base=alphabet.word_to_json(base),
+        )
     limit = max_basis_limit(max_basis)
     symbols = alphabet.symbols()
 

@@ -9,21 +9,25 @@ Two fillers are provided.  ``fill_injective`` works in the injective-word
 complex below the top degree: it fixes the smallest letter appearing in the
 cycle and pushes it rightward, one index per stage, by subtracting
 boundaries, until the letter leaves the cycle entirely; a cone over the
-absent letter finishes the job.  Its recursion works on plain
-``{word: coeff}`` dicts and builds a ``Chain`` only for the final filling,
-which is checked once for injectivity: every filling word must use each
-letter at most once.  ``fill_gp`` does the analogous staircase in
-a general-position subcomplex, guided by the invariant ``i_invariant``: the
-longest prefix length every term keeps in general position to the pivot
-element, its own tail and the base word.  Each round strictly increases the
-invariant, and prefix blocks are filled recursively over an extended base.
+absent letter finishes the job.  Its filling is checked once for
+injectivity: every filling word must use each letter at most once.
+``fill_gp`` does the analogous staircase in a general-position subcomplex,
+guided by the invariant ``i_invariant``: the longest prefix length every
+term keeps in general position to the pivot element, its own tail and the
+base word.  Each round computes every term's prefix invariant once, must
+strictly increase their minimum, and fills the prefix blocks recursively
+over an extended base.
+
+Both recursions work on plain ``{word: coeff}`` dicts through the kernels
+``chains.add_terms`` and ``chains.add_boundary``, and each filler builds a
+``Chain`` only for its final filling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import Chain
+from .chains import Chain, add_boundary, add_terms
 from .errors import (
     GeneralPositionExhausted,
     InternalInvariantBroken,
@@ -58,7 +62,8 @@ class FillCertificate:
             "input": self.input_cycle.to_json(),
             "filling": self.filling.to_json(),
             "steps": list(self.steps),
-            "valid": self.check(),
+            # __post_init__ refuses a certificate whose boundary is not the cycle
+            "valid": True,
         }
 
 
@@ -113,30 +118,6 @@ def fill_injective(c: Chain) -> FillCertificate:
     return FillCertificate(c, filling, tuple(steps))
 
 
-def _add_into(out: dict, terms: dict):
-    """out += terms, dropping coefficients that cancel."""
-    for word, coeff in terms.items():
-        val = out.get(word, 0) + coeff
-        if val:
-            out[word] = val
-        else:
-            del out[word]
-
-
-def _sub_boundary(out: dict, terms: dict):
-    """out -= boundary(terms), the alternating sum of single-entry deletions."""
-    for word, coeff in terms.items():
-        c = -coeff
-        for j in range(len(word)):
-            face = word[:j] + word[j + 1 :]
-            val = out.get(face, 0) + c
-            if val:
-                out[face] = val
-            else:
-                del out[face]
-            c = -c
-
-
 def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
     """Terms of a filling of the cycle ``work``, which is used as scratch."""
     if not work:
@@ -164,7 +145,7 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
             for suffix in sorted(groups):
                 block = groups[suffix]
                 faces: dict = {}
-                _sub_boundary(faces, block)
+                add_boundary(faces, block)
                 if faces:
                     raise InternalInvariantBroken(
                         "a prefix block failed to be a cycle", suffix=suffix
@@ -173,8 +154,8 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
                 tail = (x,) + suffix
                 filled = _fill_inj(block, sub_allowed, steps, depth + 1)
                 z = {word + tail: coeff for word, coeff in filled.items()}
-                _add_into(out, z)
-                _sub_boundary(work, z)
+                add_terms(out, z)
+                add_boundary(work, z, -1)
             steps.append(
                 {
                     "action": "push",
@@ -199,7 +180,7 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
     if present:
         raise InternalInvariantBroken("the pivot letter was never eliminated")
     if work:
-        _add_into(out, {(x,) + word: coeff for word, coeff in work.items()})
+        add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
         steps.append({"action": "cone", "symbol": x, "degree": n, "depth": depth})
     return out
 
@@ -275,13 +256,15 @@ def fill_gp(
             "satisfied": bound_ok,
         }
     ]
-    filling = _fill_gp(c, relation, base, relation.extension_candidates(), steps, depth=0)
-    for word, _ in filling.terms():
+    candidates = relation.extension_candidates()
+    terms = _fill_gp(dict(c.terms()), relation, base, candidates, steps, depth=0)
+    for word in terms:
         if not relation.gp(word, base):
             raise InternalInvariantBroken(
                 "the filling left the general-position subcomplex",
                 word=alphabet.word_to_json(word),
             )
+    filling = Chain(alphabet, c.degree + 1, terms, _validated=True)
     return FillCertificate(c, filling, tuple(steps))
 
 
@@ -297,11 +280,12 @@ def _pick(relation, candidates, reference, context):
     )
 
 
-def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
+def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
+    """Terms of a filling of the cycle ``work``, which is used as scratch."""
+    if not work:
+        return {}
     alphabet = relation.alphabet
-    n = c.degree
-    if c.is_zero():
-        return Chain.zero(alphabet, n + 1)
+    n = len(next(iter(work)))
     if n == 0:
         y = _pick(relation, candidates, base, "degree-zero cone")
         steps.append(
@@ -312,56 +296,54 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 "depth": depth,
             }
         )
-        return Chain.term(alphabet, (y,)).product(c)
+        return {(y,): work[()]}
 
     x = _pick(relation, candidates, base, "pivot choice")
-    work = c
-    parts: list[Chain] = []
+    out: dict = {}
+    invariant = -1
     rounds = 0
-    while True:
-        invariant = i_invariant(work, x, base, relation)
-        if invariant == n or work.is_zero():
+    while work:
+        # Each term's prefix invariant, computed once per round.
+        levels = {word: _term_invariant(word, x, base, relation) for word in work}
+        before, invariant = invariant, min(levels.values())
+        if invariant <= before:
+            raise InternalInvariantBroken(
+                "the prefix invariant did not strictly increase",
+                before=before,
+                after=invariant,
+            )
+        if invariant == n:
             break
         rounds += 1
         if rounds > n:
             raise InternalInvariantBroken(
                 "the prefix invariant failed to reach the degree", degree=n
             )
+        z: dict = {}
         if invariant == 0:
-            cones = {}
-            for word, coeff in work.terms():
-                y = _pick(
-                    relation,
-                    candidates,
-                    (x,) + word + base,
-                    "term cone",
-                )
-                cones[(y,) + word] = coeff
-            z = Chain(alphabet, n + 1, cones, _validated=True)
+            for word, coeff in sorted(work.items()):
+                y = _pick(relation, candidates, (x,) + word + base, "term cone")
+                z[(y,) + word] = coeff
             blocks = len(work)
         else:
             groups: dict[tuple, dict] = {}
-            for word, coeff in work.terms():
-                if _term_invariant(word, x, base, relation) == invariant:
+            for word, coeff in work.items():
+                if levels[word] == invariant:
                     groups.setdefault(word[invariant:], {})[word[:invariant]] = coeff
-            if not groups:
-                raise InternalInvariantBroken("no terms realize the minimal invariant")
-            products = []
             for suffix in sorted(groups):
-                block = Chain(alphabet, invariant, groups[suffix], _validated=True)
-                if not block.boundary().is_zero():
+                block = groups[suffix]
+                faces: dict = {}
+                add_boundary(faces, block)
+                if faces:
                     raise InternalInvariantBroken(
                         "a prefix block failed to be a cycle", suffix=suffix
                     )
                 extended_base = (x,) + suffix + base
-                filled = _fill_gp(
-                    block, relation, extended_base, candidates, steps, depth + 1
-                )
-                products.append(filled.product(Chain.term(alphabet, suffix)))
-            z = Chain.sum(alphabet, n + 1, products)
+                filled = _fill_gp(block, relation, extended_base, candidates, steps, depth + 1)
+                add_terms(z, {word + suffix: coeff for word, coeff in filled.items()})
             blocks = len(groups)
-        work = work - z.boundary()
-        parts.append(z)
+        add_terms(out, z)
+        add_boundary(work, z, -1)
         steps.append(
             {
                 "action": "raise-invariant",
@@ -371,16 +353,9 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 "depth": depth,
             }
         )
-        new_invariant = i_invariant(work, x, base, relation)
-        if not work.is_zero() and new_invariant <= invariant:
-            raise InternalInvariantBroken(
-                "the prefix invariant did not strictly increase",
-                before=invariant,
-                after=new_invariant,
-            )
 
-    cone = Chain.term(alphabet, (x,)).product(work)
-    if not work.is_zero():
+    if work:
+        add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
         steps.append(
             {
                 "action": "cone",
@@ -389,4 +364,4 @@ def _fill_gp(c, relation, base, candidates, steps, depth) -> Chain:
                 "depth": depth,
             }
         )
-    return Chain.sum(alphabet, n + 1, [cone, *parts])
+    return out

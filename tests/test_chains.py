@@ -131,14 +131,17 @@ def test_vector_chain_symbols_validated():
     assert ok.degree == 1
 
 
-def test_sum_matches_repeated_addition():
+def test_subtraction_matches_adding_the_negative():
     rng = random.Random(8)
-    for _ in range(50):
-        parts = [random_letter_chain(rng, 5, 3) for _ in range(rng.randint(0, 5))]
-        parts.append(Chain.zero(A5, 0))
-        expected = Chain.zero(A5, 3)
-        for part in parts:
-            expected = expected + part
-        assert Chain.sum(A5, 3, parts) == expected
-    with pytest.raises(InvalidInput):
-        Chain.sum(A5, 2, [term((1, 2)), term((1, 2, 3))])
+    for _ in range(200):
+        n = rng.randint(0, 3)
+        c = random_letter_chain(rng, 5, n)
+        c2 = random_letter_chain(rng, 5, n)
+        assert c - c2 == c + (-c2) == c + (-1) * c2
+        assert (c - c).is_zero()
+    # a zero chain of any stored degree combines with a chain of any degree
+    assert Chain.zero(A5, 2) - term((1, 2, 3)) == term((1, 2, 3), -1)
+    assert term((1, 2, 3)) - Chain.zero(A5, 2) == term((1, 2, 3))
+    for combine in (Chain.__add__, Chain.__sub__):
+        with pytest.raises(InvalidInput):
+            combine(term((1, 2)), term((1, 2, 3)))

@@ -276,6 +276,24 @@ def test_homology_full_rejects_max_degree_zero(capture):
     assert json.loads(out)["error"]["code"] == "invalid-input"
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_homology_gp_rejects_bad_max_degree(capture, value):
+    code, out = capture("homology", "gp", "--p", "3", "--dim", "2", "--max-degree", value)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
+def test_homology_gp_claim_covers_only_computed_degrees(capture):
+    # The theorem's range over F_5^2 is degrees <= 2, but --max-degree 1
+    # computes H_0 alone, so the claim must stop there.
+    code, out = capture("homology", "gp", "--p", "5", "--dim", "2", "--max-degree", "1")
+    assert code == 0
+    assert out.splitlines() == ["H_0 = 0", "verified: trivial for degrees <= 0"]
+    code, out = capture("homology", "gp", "--p", "5", "--dim", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified: trivial for degrees <= 2"
+
+
 def test_time_budget_exits_resource_limit(capture):
     code, out = capture("nakaoka", "--n", "4", "--max-degree", "2", "--time-budget", "0.2")
     assert code == 3

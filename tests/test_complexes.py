@@ -9,6 +9,7 @@ from wordhom import (
     InjectiveRelation,
     InternalInvariantBroken,
     InvalidInput,
+    PreconditionViolated,
     ResourceLimit,
     SparseIntMatrix,
     VectorRelation,
@@ -117,6 +118,11 @@ def test_gp_base_point_excluded():
     for k in range(C.top_degree + 1):
         for word in C.basis(k):
             assert not forbidden & set(word)
+
+
+def test_gp_rejects_base_not_in_general_position():
+    with pytest.raises(PreconditionViolated):
+        build_gp(VectorRelation(5, 2), base=((1, 0), (2, 0)))
 
 
 def test_gp_enumeration_matches_brute_force():

@@ -261,6 +261,33 @@ def test_fill_gp_out_of_range_may_exhaust():
         fill_gp(cycle, R, order_value=10)
 
 
+def test_fill_gp_output_is_pinned():
+    # The certificates of a fixed seeded list of cycles on F_5^2 and F_7^2,
+    # with bases of length 0-2, and on six letters with an empty base, hash
+    # to a recorded value, so any change to the filler's output or to the
+    # order of its steps shows here.
+    rng = random.Random(2032)
+    digest = hashlib.sha256()
+    cases = [(VectorRelation(p, 2), ((1, 0), (0, 1))[:l]) for p in (5, 7) for l in range(3)]
+    cases.append((InjectiveRelation(6), ()))
+    for relation, base in cases:
+        order = gp_order(relation).order
+        top = (order - len(base) - 1) // 2
+        for _ in range(8):
+            n = rng.randint(1, top)
+            if isinstance(relation, InjectiveRelation):
+                words = [tuple(rng.sample(range(1, 7), n + 1)) for _ in range(3)]
+                chain = Chain(relation.alphabet, n + 1, {w: rng.randint(-3, 3) for w in words})
+            else:
+                chain = random_gp_chain(rng, relation, base, n + 1)
+            cycle = chain.boundary()
+            payload = fill_gp(cycle, relation, base, order_value=order).to_json()
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "047e2a60afa689e2e490665b2471c81ac219dddd0d32e0e0003854afbd01462f"
+    )
+
+
 def test_fill_gp_audit_log_records_bound_check():
     R = VectorRelation(3, 2)
     A = R.alphabet
