@@ -21,7 +21,6 @@ from .errors import (
     PreconditionViolated,
     ResourceLimit,
     TruncationError,
-    VerificationFailed,
     WordhomError,
 )
 from .filler import FillCertificate, fill_absent, fill_gp, fill_injective, i_invariant
@@ -74,7 +73,6 @@ __all__ = [
     "SparseIntMatrix",
     "TruncationError",
     "VectorRelation",
-    "VerificationFailed",
     "WordhomError",
     "abelianization",
     "bar_boundary",

@@ -90,9 +90,6 @@ class Chain:
         """Term list in canonical order, as (word, coefficient) pairs."""
         return sorted(self._terms.items())
 
-    def coefficient(self, word) -> int:
-        return self._terms.get(tuple(word), 0)
-
     def __len__(self):
         return len(self._terms)
 

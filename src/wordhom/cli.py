@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: homology (inj|full|gp), fill, gp-order, axioms, nakaoka,
-derangements.  Output is JSON or text; identical configuration and seed give
-byte-identical JSON.  Exit codes: 0 computed and all internal checks passed,
-1 a mathematical verification failed, 2 invalid input, 3 resource limit.
+derangements.  Every subcommand takes --format and --time-budget; --seed
+belongs to axioms, --max-basis to homology and --max-generators to nakaoka,
+and a subcommand rejects a flag it does not read (exit 2).  Output is JSON or
+text; identical arguments give byte-identical JSON.  Exit codes: 0 computed
+and all internal checks passed, 1 a mathematical verification failed, 2
+invalid input, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -13,16 +16,13 @@ import contextlib
 import json
 import signal
 import sys
-from dataclasses import dataclass
 
-from .alphabet import Alphabet
 from .chains import Chain
 from .complexes import build_full, build_gp, build_injective
 from .errors import (
     InternalInvariantBroken,
     InvalidInput,
     ResourceLimit,
-    VerificationFailed,
     WordhomError,
 )
 from .filler import fill_gp, fill_injective
@@ -39,17 +39,6 @@ DEFAULT_SEED = 42
 # Longest --time-budget accepted, in seconds (about 31 years); the interval
 # timer behind it overflows above about 9.2e9 seconds.
 MAX_TIME_BUDGET = 1e9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by every subcommand."""
-
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-    max_basis: int | None = None
-    max_generators: int = DEFAULT_MAX_GENERATORS
-    time_budget: float | None = None
 
 
 @contextlib.contextmanager
@@ -71,8 +60,8 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _emit(payload: dict, config: RunConfig, text_lines) -> None:
-    if config.format == "json":
+def _emit(payload: dict, args, text_lines) -> None:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -89,12 +78,15 @@ def _relation_from_args(args):
     return VectorRelation(args.p, args.dim)
 
 
-def _parse_base(alphabet: Alphabet, raw: str):
+def _parse_base(relation, raw: str):
+    """The --base word, checked to be in general position before any search."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"--base is not valid JSON: {exc}") from exc
-    return alphabet.word_from_json(obj)
+    base = relation.alphabet.word_from_json(obj)
+    relation.check_base(base)
+    return base
 
 
 # -- homology ----------------------------------------------------------------
@@ -109,18 +101,18 @@ def _group_lines(groups: dict) -> list[str]:
     return [f"H_{k} = {groups[k]}" for k in sorted(groups)]
 
 
-def _finish_homology(payload, groups, verified, problems, config) -> int:
+def _finish_homology(payload, groups, verified, problems, args) -> int:
     payload["groups"] = _groups_payload(groups)
     payload["verified"] = verified
     lines = _group_lines(groups)
     lines.append(
         f"verified: {verified['claim']}" if not problems else f"FAILED: {problems}"
     )
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK if not problems else EXIT_VERIFICATION
 
 
-def _cmd_homology(args, config: RunConfig) -> int:
+def _cmd_homology(args) -> int:
     if args.variant == "inj":
         complex_rep = build_injective(args.m)
         groups = homology_table(complex_rep)
@@ -139,10 +131,10 @@ def _cmd_homology(args, config: RunConfig) -> int:
             "problems": problems,
         }
         payload = {"complex": {"kind": "injective", "m": args.m}}
-        return _finish_homology(payload, groups, verified, problems, config)
+        return _finish_homology(payload, groups, verified, problems, args)
 
     if args.variant == "full":
-        complex_rep = build_full(args.m, args.max_degree, config.max_basis)
+        complex_rep = build_full(args.m, args.max_degree, args.max_basis)
         groups = homology_table(complex_rep)
         problems = [
             f"H_{k} = {groups[k]} but the full word complex is acyclic"
@@ -157,7 +149,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
         payload = {
             "complex": {"kind": "full", "m": args.m, "max_degree": args.max_degree}
         }
-        return _finish_homology(payload, groups, verified, problems, config)
+        return _finish_homology(payload, groups, verified, problems, args)
 
     # general position: --p/--dim select vectors, --m alone selects letters
     if args.p is not None:
@@ -168,7 +160,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
         relation = InjectiveRelation(args.m)
     else:
         raise InvalidInput("homology gp needs --p/--dim or --m")
-    base = _parse_base(relation.alphabet, args.base)
+    base = _parse_base(relation, args.base)
     order = gp_order(relation)
     bound = (order.lower_bound - len(base) - 1) // 2
     if args.max_degree == "auto":
@@ -177,7 +169,7 @@ def _cmd_homology(args, config: RunConfig) -> int:
         max_degree = max(bound + 1, 1)
     else:
         max_degree = args.max_degree
-    complex_rep = build_gp(relation, base, max_degree, config.max_basis)
+    complex_rep = build_gp(relation, base, max_degree, args.max_basis)
     groups = homology_table(complex_rep)
     # The claim covers only the degrees that were computed.
     claimed = min(bound, max(groups))
@@ -199,12 +191,12 @@ def _cmd_homology(args, config: RunConfig) -> int:
             "base": relation.alphabet.word_to_json(base),
         }
     }
-    return _finish_homology(payload, groups, verified, problems, config)
+    return _finish_homology(payload, groups, verified, problems, args)
 
 
 # -- fill ---------------------------------------------------------------------
 
-def _cmd_fill(args, config: RunConfig) -> int:
+def _cmd_fill(args) -> int:
     if args.input == "-":
         raw = sys.stdin.read()
     else:
@@ -218,7 +210,7 @@ def _cmd_fill(args, config: RunConfig) -> int:
         certificate = fill_injective(cycle)
     else:
         relation = VectorRelation(cycle.alphabet.p, cycle.alphabet.dim)
-        base = _parse_base(cycle.alphabet, args.base)
+        base = _parse_base(relation, args.base)
         certificate = fill_gp(cycle, relation, base)
     if args.check and not certificate.check():
         raise InternalInvariantBroken("certificate failed the recheck")
@@ -227,13 +219,13 @@ def _cmd_fill(args, config: RunConfig) -> int:
         f"filled a degree-{cycle.degree} cycle with {len(certificate.filling)} terms",
         f"valid: {payload['valid']}",
     ]
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK
 
 
 # -- gp-order -------------------------------------------------------------------
 
-def _cmd_gp_order(args, config: RunConfig) -> int:
+def _cmd_gp_order(args) -> int:
     relation = _relation_from_args(args)
     result = gp_order(relation, max_n=args.max_n)
     payload = result.to_json(relation.alphabet)
@@ -241,15 +233,15 @@ def _cmd_gp_order(args, config: RunConfig) -> int:
         lines = [f"order = {result.value}"]
     else:
         lines = [f"order >= {result.value} (search exhausted)"]
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK
 
 
 # -- axioms ----------------------------------------------------------------------
 
-def _cmd_axioms(args, config: RunConfig) -> int:
+def _cmd_axioms(args) -> int:
     relation = _relation_from_args(args)
-    report = check_axioms(relation, trials=args.samples, seed=config.seed)
+    report = check_axioms(relation, trials=args.samples, seed=args.seed)
     payload = report.to_json(relation.alphabet)
     lines = [
         f"relation {report.relation}: {'pass' if report.passed else 'FAIL'}"
@@ -259,14 +251,14 @@ def _cmd_axioms(args, config: RunConfig) -> int:
         lines.append(f"  {axiom}: hypothesis hit {hits} times")
     for violation in report.violations:
         lines.append(f"  violated {violation.axiom}: x={violation.x} y={violation.y} z={violation.z}")
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 # -- nakaoka ----------------------------------------------------------------------
 
-def _cmd_nakaoka(args, config: RunConfig) -> int:
-    reports = nakaoka_table(args.n, args.max_degree, max_generators=config.max_generators)
+def _cmd_nakaoka(args) -> int:
+    reports = nakaoka_table(args.n, args.max_degree, max_generators=args.max_generators)
     payload = {"n": args.n, "rows": [r.to_json() for r in reports]}
     lines = []
     for r in reports:
@@ -279,13 +271,13 @@ def _cmd_nakaoka(args, config: RunConfig) -> int:
     failed = [r for r in reports if not r.holds()]
     if failed:
         lines.append(f"FAILED: stability does not hold at m={[r.m for r in failed]}")
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK if not failed else EXIT_VERIFICATION
 
 
 # -- derangements -------------------------------------------------------------------
 
-def _cmd_derangements(args, config: RunConfig) -> int:
+def _cmd_derangements(args) -> int:
     count = derangement_count(args.m)
     closed = rank_formula(args.m)
     payload = {
@@ -299,7 +291,7 @@ def _cmd_derangements(args, config: RunConfig) -> int:
         f"closed form = {closed}",
         f"agree: {'yes' if count == closed else 'NO'}",
     ]
-    _emit(payload, config, lines)
+    _emit(payload, args, lines)
     return EXIT_OK if count == closed else EXIT_VERIFICATION
 
 
@@ -311,14 +303,6 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
         choices=("text", "json"),
         default=default_format,
         help=f"output format (default {default_format})",
-    )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    parser.add_argument("--max-basis", type=int, default=None, help="basis-word budget override")
-    parser.add_argument(
-        "--max-generators",
-        type=int,
-        default=DEFAULT_MAX_GENERATORS,
-        help="bar-complex generator budget",
     )
     parser.add_argument(
         "--time-budget",
@@ -355,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--p", type=int, default=None, help="field characteristic (gp)")
     hom.add_argument("--dim", type=int, default=None, help="vector dimension (gp)")
     hom.add_argument("--base", default="[]", help="base word as JSON (gp)")
+    hom.add_argument("--max-basis", type=int, default=None, help="basis-word budget override")
     _add_common(hom, "text")
     hom.set_defaults(handler=_cmd_homology)
 
@@ -374,12 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
     axioms = sub.add_parser("axioms", help="randomized check of the relation axioms")
     _add_relation_flags(axioms)
     axioms.add_argument("--samples", type=int, default=1000, help="number of random triples")
+    axioms.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
     _add_common(axioms, "json")
     axioms.set_defaults(handler=_cmd_axioms)
 
     nak = sub.add_parser("nakaoka", help="compare H_m across consecutive symmetric groups")
     nak.add_argument("--n", type=int, required=True)
     nak.add_argument("--max-degree", type=int, required=True)
+    nak.add_argument(
+        "--max-generators",
+        type=int,
+        default=DEFAULT_MAX_GENERATORS,
+        help="bar-complex generator budget",
+    )
     _add_common(nak, "text")
     nak.set_defaults(handler=_cmd_nakaoka)
 
@@ -417,29 +409,22 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    config = RunConfig(
-        format=args.format,
-        seed=args.seed,
-        max_basis=args.max_basis,
-        max_generators=args.max_generators,
-        time_budget=args.time_budget,
-    )
     try:
         _validate_hom_args(args)
-        budget = config.time_budget
+        budget = args.time_budget
         if budget is not None and not 0 <= budget <= MAX_TIME_BUDGET:
             # written as a string: JSON has no inf or nan
             raise InvalidInput(
                 f"--time-budget must be between 0 and {MAX_TIME_BUDGET:.0f} seconds",
                 time_budget=str(budget),
             )
-        with _deadline(config.time_budget):
-            return args.handler(args, config)
+        with _deadline(budget):
+            return args.handler(args)
     except WordhomError as exc:
         print(json.dumps({"error": exc.to_json()}, sort_keys=True, indent=2))
         if isinstance(exc, ResourceLimit):
             return EXIT_RESOURCE
-        if isinstance(exc, (InternalInvariantBroken, VerificationFailed)):
+        if isinstance(exc, InternalInvariantBroken):
             return EXIT_VERIFICATION
         return EXIT_INVALID
 

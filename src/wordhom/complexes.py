@@ -14,30 +14,15 @@ the boundary of basis word j expressed in the lower basis.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Word
 from .chains import Chain
-from .errors import InternalInvariantBroken, InvalidInput, PreconditionViolated, ResourceLimit
+from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit
 from .genpos import GeneralPositionRelation
 from .linalg import SparseIntMatrix
 
 DEFAULT_MAX_BASIS = 500_000
-MAX_BASIS_ENV = "WORDHOM_MAX_BASIS"
-
-
-def max_basis_limit(override: int | None = None) -> int:
-    """Total basis-word budget; the environment variable wins over the default."""
-    if override is not None:
-        return override
-    raw = os.environ.get(MAX_BASIS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_BASIS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"{MAX_BASIS_ENV} must be an integer", value=raw) from exc
 
 
 @dataclass(frozen=True)
@@ -188,7 +173,7 @@ def build_full(m: int, max_degree: int, max_basis: int | None = None) -> ChainCo
     alphabet = Alphabet.letters(m)
     if max_degree < 0:
         raise InvalidInput("truncation degree must be nonnegative", max_degree=max_degree)
-    limit = max_basis_limit(max_basis)
+    limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
     total = sum(m**k for k in range(max_degree + 1))
     if total > limit:
         raise ResourceLimit(
@@ -226,13 +211,8 @@ def build_gp(
     gp(base; ()), or PreconditionViolated is raised.
     """
     alphabet = relation.alphabet
-    base = alphabet.check_word(base)
-    if not relation.gp(base, ()):
-        raise PreconditionViolated(
-            "the base word is not in general position",
-            base=alphabet.word_to_json(base),
-        )
-    limit = max_basis_limit(max_basis)
+    base = relation.check_base(base)
+    limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
     symbols = alphabet.symbols()
 
     levels: list[list[Word]] = [[()]]

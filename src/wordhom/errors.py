@@ -77,9 +77,3 @@ class InternalInvariantBroken(WordhomError):
     """An internally certified fact failed to hold; signals a bug, never bad input."""
 
     code = "internal-invariant-broken"
-
-
-class VerificationFailed(WordhomError):
-    """A mathematical claim checked by the CLI did not hold."""
-
-    code = "verification-failed"

@@ -231,12 +231,7 @@ def fill_gp(
     alphabet = relation.alphabet
     if c.alphabet != alphabet:
         raise InvalidInput("the chain and the relation use different alphabets")
-    base = alphabet.check_word(base)
-    if not relation.gp(base, ()):
-        raise PreconditionViolated(
-            "the base word is not in general position",
-            base=alphabet.word_to_json(base),
-        )
+    base = relation.check_base(base)
     for word, _ in c.terms():
         if not relation.gp(word, base):
             raise PreconditionViolated(

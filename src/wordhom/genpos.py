@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, Word
-from .errors import InvalidInput
+from .errors import InvalidInput, PreconditionViolated
 
 
 def gp_inj(x, y) -> bool:
@@ -215,6 +215,16 @@ class GeneralPositionRelation(ABC):
         """True when no candidate element is in general position to the word."""
         return not any(self.gp((e,), tuple(word)) for e in self.extension_candidates())
 
+    def check_base(self, base) -> Word:
+        """The base word, validated; PreconditionViolated unless gp(base; ())."""
+        base = self.alphabet.check_word(base)
+        if not self.gp(base, ()):
+            raise PreconditionViolated(
+                "the base word is not in general position",
+                base=self.alphabet.word_to_json(base),
+            )
+        return base
+
     def describe(self) -> dict:
         return {"name": self.name, "alphabet": self.alphabet.to_json()}
 
@@ -330,8 +340,11 @@ class AxiomReport:
         }
 
 
+MAX_RECORDED_VIOLATIONS = 5
+
+
 def biased_triple_sampler(relation: GeneralPositionRelation):
-    """Default sampler for check_axioms.
+    """Triple sampler for check_axioms.
 
     Word lengths are drawn uniformly from 0..3.  Half the draws build the
     combined word by greedy extension with elements already in general
@@ -360,23 +373,19 @@ def biased_triple_sampler(relation: GeneralPositionRelation):
 
 
 def check_axioms(
-    relation: GeneralPositionRelation,
-    sampler=None,
-    trials: int = 1000,
-    seed: int = 0,
-    max_recorded: int = 5,
+    relation: GeneralPositionRelation, trials: int = 1000, seed: int = 0
 ) -> AxiomReport:
-    """Randomized trial of the three axioms; failures become report entries."""
+    """Randomized trial of the three axioms; failures become report entries,
+    of which the first MAX_RECORDED_VIOLATIONS are kept."""
     if trials < 1:
         raise InvalidInput("need at least one trial", trials=trials)
-    if sampler is None:
-        sampler = biased_triple_sampler(relation)
+    sampler = biased_triple_sampler(relation)
     rng = random.Random(seed)
     hits = {"symmetry": 0, "weaken-left": 0, "weaken-right": 0, "composition": 0}
     violations: list[AxiomViolation] = []
 
     def record(axiom, x, y, z):
-        if len(violations) < max_recorded:
+        if len(violations) < MAX_RECORDED_VIOLATIONS:
             violations.append(AxiomViolation(axiom, x, y, z))
 
     for _ in range(trials):
@@ -441,34 +450,27 @@ class GpOrderResult:
         }
 
 
-def gp_order(
-    relation: GeneralPositionRelation,
-    universe=None,
-    max_n: int | None = None,
-    set_blocking: bool | None = None,
-) -> GpOrderResult:
+def gp_order(relation: GeneralPositionRelation, max_n: int | None = None) -> GpOrderResult:
     """Smallest length of a word no candidate element is in general position to.
 
-    Searches lengths 0, 1, ... in order, so an exact answer always comes with
-    a shortest witness (the lexicographically least one).  When no blocking
+    The candidates are the relation's ``extension_candidates``.  Searches
+    lengths 0, 1, ... in order, so an exact answer always comes with a
+    shortest witness (the lexicographically least one).  When no blocking
     word of length up to max_n exists the result is the lower bound
-    max_n + 1.  Set-blocking relations are searched over canonical sets;
-    otherwise all sequences with repeats are enumerated.
+    max_n + 1.  Relations that declare ``set_blocking`` are searched over
+    canonical sets, bounded by the number of candidates; otherwise all
+    sequences with repeats are enumerated, which needs max_n.
     """
-    if universe is None:
-        universe = relation.extension_candidates()
-    universe = sorted(set(universe))
+    universe = sorted(set(relation.extension_candidates()))
     if not universe:
         raise InvalidInput("the search universe is empty")
-    if set_blocking is None:
-        set_blocking = relation.set_blocking
     if max_n is None:
-        if not set_blocking:
+        if not relation.set_blocking:
             raise InvalidInput("a sequence search over an abstract relation needs max_n")
         max_n = len(universe)
 
     for n in range(max_n + 1):
-        if set_blocking:
+        if relation.set_blocking:
             candidates = itertools.combinations(universe, n)
         else:
             candidates = itertools.product(universe, repeat=n)

@@ -12,6 +12,7 @@ subgroup, and serves as a cross-check on degree-one homology.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .complexes import ChainComplexRep
@@ -21,6 +22,11 @@ from .linalg import SparseIntMatrix, smith_normal_form
 
 DEFAULT_MAX_GENERATORS = 20_000
 MAX_GROUP_ORDER = 5040
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise ResourceLimit("group order beyond the desk-scale cap", order=order)
 
 
 class PermutationGroup:
@@ -41,8 +47,7 @@ class PermutationGroup:
         identity = tuple(range(degree))
         if identity not in elements:
             raise InvalidInput("the identity permutation is missing")
-        if len(elements) > MAX_GROUP_ORDER:
-            raise ResourceLimit("group order beyond the desk-scale cap", order=len(elements))
+        _check_order(len(elements))
         ordered = [identity] + sorted(elements - {identity})
         for e in ordered:
             if sorted(e) != list(range(degree)):
@@ -76,12 +81,19 @@ class PermutationGroup:
     def symmetric(n: int) -> "PermutationGroup":
         if not isinstance(n, int) or n < 1:
             raise InvalidInput("need n >= 1", n=n)
+        # The cap is checked before any permutation is listed: S_11 alone has
+        # 39.9 million.  Past 20 letters only n is reported, since n! soon has
+        # too many digits to print and to compute.
+        if n > 20:
+            raise ResourceLimit("group order beyond the desk-scale cap", n=n)
+        _check_order(math.factorial(n))
         return PermutationGroup(itertools.permutations(range(n)), name=f"S_{n}")
 
     @staticmethod
     def cyclic(k: int) -> "PermutationGroup":
         if not isinstance(k, int) or k < 1:
             raise InvalidInput("need k >= 1", k=k)
+        _check_order(k)
         rotation = tuple((i + 1) % k for i in range(k))
         elements = []
         current = tuple(range(k))

@@ -200,6 +200,18 @@ def test_fill_rejects_base_not_in_general_position(tmp_path, capture):
     assert json.loads(out)["error"]["code"] == "precondition-violated"
 
 
+def test_homology_gp_checks_base_before_order_search(capture, monkeypatch):
+    def no_search(relation, max_n=None):
+        raise AssertionError("gp_order ran before the base was checked")
+
+    monkeypatch.setattr("wordhom.cli.gp_order", no_search)
+    code, out = capture(
+        "homology", "gp", "--p", "3", "--dim", "4", "--base", "[[1, 0, 0, 0], [2, 0, 0, 0]]"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition-violated"
+
+
 @pytest.mark.parametrize(
     "flags,base",
     [(("--p", "5", "--dim", "2"), "[[1, 0], [2, 0]]"), (("--m", "4"), "[2, 2]")],
@@ -237,9 +249,31 @@ def test_invalid_subcommand_arguments_exit_two(capture):
     assert code == 2
 
 
-def test_resource_limit_from_env(tmp_path, capture, monkeypatch):
-    monkeypatch.setenv("WORDHOM_MAX_BASIS", "4")
-    code, out = capture("homology", "full", "--m", "3", "--max-degree", "4", "--format", "json")
+def test_resource_limit_from_flag(capture):
+    code, out = capture(
+        "homology", "full", "--m", "3", "--max-degree", "4", "--max-basis", "4", "--format", "json"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derangements", "--m", "3", "--seed", "1"),
+        ("fill", "--input", "-", "--max-basis", "10"),
+        ("gp-order", "--p", "3", "--dim", "2", "--max-generators", "10"),
+        ("nakaoka", "--n", "3", "--max-degree", "1", "--max-basis", "10"),
+        ("homology", "inj", "--m", "3", "--seed", "1"),
+    ],
+)
+def test_flag_of_another_subcommand_is_rejected(capture, argv):
+    code, _ = capture(*argv)
+    assert code == 2
+
+
+def test_max_generators_flag_limits_nakaoka(capture):
+    code, out = capture("nakaoka", "--n", "4", "--max-degree", "2", "--max-generators", "10")
     assert code == 3
     assert json.loads(out)["error"]["code"] == "resource-limit"
 

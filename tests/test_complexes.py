@@ -86,15 +86,6 @@ def test_full_respects_basis_budget():
         build_full(4, 10, max_basis=1000)
 
 
-def test_basis_budget_env_override(monkeypatch):
-    monkeypatch.setenv("WORDHOM_MAX_BASIS", "3")
-    with pytest.raises(ResourceLimit):
-        build_full(2, 3)
-    monkeypatch.setenv("WORDHOM_MAX_BASIS", "not-a-number")
-    with pytest.raises(InvalidInput):
-        build_full(2, 3)
-
-
 def test_gp_injective_relation_reproduces_injective_complex():
     for m in range(2, 6):
         direct = build_injective(m)

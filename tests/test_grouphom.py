@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from wordhom import (
@@ -12,6 +14,7 @@ from wordhom import (
     nakaoka_table,
     sym_homology,
 )
+from wordhom.grouphom import MAX_GROUP_ORDER
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -30,6 +33,18 @@ def test_symmetric_group_table_is_a_group(n):
     for _ in range(50):
         a, b, c = (rng.randrange(G.order) for _ in range(3))
         assert G.mult(G.mult(a, b), c) == G.mult(a, G.mult(b, c))
+
+
+def test_group_order_cap_checked_before_enumerating(monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("permutations were listed")
+
+    monkeypatch.setattr(itertools, "permutations", no_listing)
+    for n in (8, 10**9):
+        with pytest.raises(ResourceLimit):
+            PermutationGroup.symmetric(n)
+    with pytest.raises(ResourceLimit):
+        PermutationGroup.cyclic(MAX_GROUP_ORDER + 1)
 
 
 def test_non_closed_set_rejected():
