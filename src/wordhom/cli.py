@@ -1,12 +1,23 @@
 """Command-line entry point.
 
-Subcommands: homology (inj|full|gp), fill, gp-order, axioms, nakaoka,
-derangements.  Every subcommand takes --format and --time-budget; --seed
-belongs to axioms, --max-basis to homology and --max-generators to nakaoka,
-and a subcommand rejects a flag it does not read (exit 2).  Output is JSON or
-text; identical arguments give byte-identical JSON.  Exit codes: 0 computed
-and all internal checks passed, 1 a mathematical verification failed, 2
-invalid input, 3 resource limit.
+Subcommands and the flags each one reads:
+
+  homology inj   --m
+  homology full  --m --max-degree [--max-basis]
+  homology gp    --m | --p --dim, [--base --max-degree --max-basis]
+  fill           --input [--base (vector cycles only) --check]
+  gp-order       [vec|inj] --m | --p --dim, [--max-n]
+  axioms         [vec|inj] --m | --p --dim, [--samples --seed]
+  nakaoka        --n --max-degree [--max-generators]
+  derangements   --m (at most MAX_DERANGEMENT_M)
+
+Every subcommand also takes --format and --time-budget.  Relation rule: --m
+names the injective relation and --p with --dim the vector relation; give
+one, not both, and an optional vec|inj positional must agree with it.  Every
+rejection, argparse's own included, prints the error JSON and exits 2.
+Output is JSON or text; identical arguments give byte-identical JSON.  Exit
+codes: 0 computed and all internal checks passed, 1 a mathematical
+verification failed, 2 invalid input, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -19,12 +30,7 @@ import sys
 
 from .chains import Chain
 from .complexes import build_full, build_gp, build_injective
-from .errors import (
-    InternalInvariantBroken,
-    InvalidInput,
-    ResourceLimit,
-    WordhomError,
-)
+from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit, WordhomError
 from .filler import fill_gp, fill_injective
 from .genpos import InjectiveRelation, VectorRelation, check_axioms, gp_order
 from .grouphom import DEFAULT_MAX_GENERATORS, nakaoka_table
@@ -39,6 +45,9 @@ DEFAULT_SEED = 42
 # Longest --time-budget accepted, in seconds (about 31 years); the interval
 # timer behind it overflows above about 9.2e9 seconds.
 MAX_TIME_BUDGET = 1e9
+# Largest `derangements --m`: the count then has 2568 digits, below the 4300
+# that Python turns into a decimal string by default.
+MAX_DERANGEMENT_M = 1000
 
 
 @contextlib.contextmanager
@@ -69,19 +78,24 @@ def _emit(payload: dict, args, text_lines) -> None:
 
 
 def _relation_from_args(args):
-    if args.variant == "inj":
-        if args.m is None:
-            raise InvalidInput("the injective relation needs --m")
-        return InjectiveRelation(args.m)
-    if args.p is None or args.dim is None:
-        raise InvalidInput("the vector relation needs --p and --dim")
-    return VectorRelation(args.p, args.dim)
+    """--m names the injective relation, --p with --dim the vector relation.
+
+    The optional vec|inj positional of gp-order and axioms must agree.
+    """
+    if args.m is not None and (args.p is not None or args.dim is not None):
+        raise InvalidInput("give --m or --p and --dim, not both")
+    if args.m is None and (args.p is None or args.dim is None):
+        raise InvalidInput("the injective relation needs --m, the vector relation --p and --dim")
+    named = "inj" if args.m is not None else "vec"
+    if getattr(args, "relation", None) not in (None, named):
+        raise InvalidInput(f"relation {args.relation} does not match the flags, which name {named}")
+    return InjectiveRelation(args.m) if named == "inj" else VectorRelation(args.p, args.dim)
 
 
-def _parse_base(relation, raw: str):
-    """The --base word, checked to be in general position before any search."""
+def _parse_base(relation, raw):
+    """The --base word (empty if not given), checked to be in general position."""
     try:
-        obj = json.loads(raw)
+        obj = [] if raw is None else json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"--base is not valid JSON: {exc}") from exc
     base = relation.alphabet.word_from_json(obj)
@@ -91,75 +105,46 @@ def _parse_base(relation, raw: str):
 
 # -- homology ----------------------------------------------------------------
 
-def _groups_payload(groups: dict) -> list[dict]:
-    return [
-        {"degree": k, **groups[k].to_json()} for k in sorted(groups)
-    ]
-
-
-def _group_lines(groups: dict) -> list[str]:
-    return [f"H_{k} = {groups[k]}" for k in sorted(groups)]
-
-
 def _finish_homology(payload, groups, verified, problems, args) -> int:
-    payload["groups"] = _groups_payload(groups)
-    payload["verified"] = verified
-    lines = _group_lines(groups)
-    lines.append(
-        f"verified: {verified['claim']}" if not problems else f"FAILED: {problems}"
-    )
+    """Emit the table with the claim in `verified` and whether it holds."""
+    payload["groups"] = [{"degree": k, **groups[k].to_json()} for k in sorted(groups)]
+    payload["verified"] = {**verified, "holds": not problems, "problems": problems}
+    lines = [f"H_{k} = {groups[k]}" for k in sorted(groups)]
+    lines.append(f"verified: {verified['claim']}" if not problems else f"FAILED: {problems}")
     _emit(payload, args, lines)
     return EXIT_OK if not problems else EXIT_VERIFICATION
 
 
-def _cmd_homology(args) -> int:
-    if args.variant == "inj":
-        complex_rep = build_injective(args.m)
-        groups = homology_table(complex_rep)
-        expected_rank = derangement_count(args.m)
-        problems = [
-            f"H_{k} = {groups[k]} but triviality was claimed"
-            for k in range(args.m)
-            if not groups[k].is_trivial()
-        ]
-        top = groups[args.m]
-        if top.free_rank != expected_rank or top.torsion:
-            problems.append(f"H_{args.m} = {top} but Z^{expected_rank} was claimed")
-        verified = {
-            "claim": f"trivial below degree {args.m}, free of rank {expected_rank} there",
-            "holds": not problems,
-            "problems": problems,
-        }
-        payload = {"complex": {"kind": "injective", "m": args.m}}
-        return _finish_homology(payload, groups, verified, problems, args)
+def _cmd_homology_inj(args) -> int:
+    groups = homology_table(build_injective(args.m))
+    expected_rank = derangement_count(args.m)
+    problems = [
+        f"H_{k} = {groups[k]} but triviality was claimed"
+        for k in range(args.m)
+        if not groups[k].is_trivial()
+    ]
+    top = groups[args.m]
+    if top.free_rank != expected_rank or top.torsion:
+        problems.append(f"H_{args.m} = {top} but Z^{expected_rank} was claimed")
+    verified = {"claim": f"trivial below degree {args.m}, free of rank {expected_rank} there"}
+    payload = {"complex": {"kind": "injective", "m": args.m}}
+    return _finish_homology(payload, groups, verified, problems, args)
 
-    if args.variant == "full":
-        complex_rep = build_full(args.m, args.max_degree, args.max_basis)
-        groups = homology_table(complex_rep)
-        problems = [
-            f"H_{k} = {groups[k]} but the full word complex is acyclic"
-            for k in sorted(groups)
-            if not groups[k].is_trivial()
-        ]
-        verified = {
-            "claim": f"trivial in degrees 0..{args.max_degree - 1}",
-            "holds": not problems,
-            "problems": problems,
-        }
-        payload = {
-            "complex": {"kind": "full", "m": args.m, "max_degree": args.max_degree}
-        }
-        return _finish_homology(payload, groups, verified, problems, args)
 
-    # general position: --p/--dim select vectors, --m alone selects letters
-    if args.p is not None:
-        if args.dim is None:
-            raise InvalidInput("the vector relation needs both --p and --dim")
-        relation = VectorRelation(args.p, args.dim)
-    elif args.m is not None:
-        relation = InjectiveRelation(args.m)
-    else:
-        raise InvalidInput("homology gp needs --p/--dim or --m")
+def _cmd_homology_full(args) -> int:
+    groups = homology_table(build_full(args.m, args.max_degree, args.max_basis))
+    problems = [
+        f"H_{k} = {groups[k]} but the full word complex is acyclic"
+        for k in sorted(groups)
+        if not groups[k].is_trivial()
+    ]
+    verified = {"claim": f"trivial in degrees 0..{args.max_degree - 1}"}
+    payload = {"complex": {"kind": "full", "m": args.m, "max_degree": args.max_degree}}
+    return _finish_homology(payload, groups, verified, problems, args)
+
+
+def _cmd_homology_gp(args) -> int:
+    relation = _relation_from_args(args)
     base = _parse_base(relation, args.base)
     order = gp_order(relation)
     bound = (order.lower_bound - len(base) - 1) // 2
@@ -169,8 +154,7 @@ def _cmd_homology(args) -> int:
         max_degree = max(bound + 1, 1)
     else:
         max_degree = args.max_degree
-    complex_rep = build_gp(relation, base, max_degree, args.max_basis)
-    groups = homology_table(complex_rep)
+    groups = homology_table(build_gp(relation, base, max_degree, args.max_basis))
     # The claim covers only the degrees that were computed.
     claimed = min(bound, max(groups))
     problems = [
@@ -181,8 +165,6 @@ def _cmd_homology(args) -> int:
     verified = {
         "claim": f"trivial for degrees <= {claimed}",
         "order": order.to_json(relation.alphabet),
-        "holds": not problems,
-        "problems": problems,
     }
     payload = {
         "complex": {
@@ -207,6 +189,8 @@ def _cmd_fill(args) -> int:
             raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
     cycle = Chain.parse(raw)
     if cycle.alphabet.kind == "letters":
+        if args.base is not None:
+            raise InvalidInput("--base applies to vector cycles only")
         certificate = fill_injective(cycle)
     else:
         relation = VectorRelation(cycle.alphabet.p, cycle.alphabet.dim)
@@ -278,14 +262,11 @@ def _cmd_nakaoka(args) -> int:
 # -- derangements -------------------------------------------------------------------
 
 def _cmd_derangements(args) -> int:
+    if args.m > MAX_DERANGEMENT_M:
+        raise ResourceLimit("derangements --m is capped", m=args.m, limit=MAX_DERANGEMENT_M)
     count = derangement_count(args.m)
     closed = rank_formula(args.m)
-    payload = {
-        "m": args.m,
-        "derangements": count,
-        "closed_form": closed,
-        "agree": count == closed,
-    }
+    payload = {"m": args.m, "derangements": count, "closed_form": closed, "agree": count == closed}
     lines = [
         f"derangements({args.m}) = {count}",
         f"closed form = {closed}",
@@ -297,6 +278,35 @@ def _cmd_derangements(args) -> int:
 
 # -- argument parsing ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every rejection is InvalidInput, so exit 2 with the error JSON."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)  # a ValueError is argparse's "invalid value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {raw!r}")
+    return value
+
+
+def _degree_or_auto(raw: str):
+    return raw if raw == "auto" else _positive_int(raw)
+
+
+def _time_budget(raw: str) -> float:
+    budget = float(raw)
+    if not 0 <= budget <= MAX_TIME_BUDGET:
+        # written as a string: JSON has no inf or nan
+        raise InvalidInput(
+            f"--time-budget must be between 0 and {MAX_TIME_BUDGET:.0f} seconds",
+            time_budget=str(budget),
+        )
+    return budget
+
+
 def _add_common(parser: argparse.ArgumentParser, default_format: str):
     parser.add_argument(
         "--format",
@@ -306,62 +316,65 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
-        default=None,
+        type=_time_budget,
         help="wall-clock budget in seconds, 0 for none (at most 1e9); exceeding it exits 3",
     )
 
 
 def _add_relation_flags(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "variant",
-        nargs="?",
-        choices=("vec", "inj"),
-        default="vec",
-        help="relation kind (default vec)",
-    )
-    parser.add_argument("--p", type=int, default=None, help="field characteristic")
-    parser.add_argument("--dim", type=int, default=None, help="vector dimension")
-    parser.add_argument("--m", type=int, default=None, help="letter count for inj")
+    parser.add_argument("--m", type=int, help="letter count: the injective relation")
+    parser.add_argument("--p", type=int, help="field characteristic: the vector relation")
+    parser.add_argument("--dim", type=int, help="vector dimension: the vector relation")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordhom",
         description="Exact integer homology of word complexes and related checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     hom = sub.add_parser("homology", help="homology tables of word complexes")
-    hom.add_argument("variant", choices=("inj", "full", "gp"))
-    hom.add_argument("--m", type=int, default=None, help="letter count")
-    hom.add_argument("--max-degree", default=None, help="truncation degree, or 'auto' for gp")
-    hom.add_argument("--p", type=int, default=None, help="field characteristic (gp)")
-    hom.add_argument("--dim", type=int, default=None, help="vector dimension (gp)")
-    hom.add_argument("--base", default="[]", help="base word as JSON (gp)")
-    hom.add_argument("--max-basis", type=int, default=None, help="basis-word budget override")
-    _add_common(hom, "text")
-    hom.set_defaults(handler=_cmd_homology)
+    variants = hom.add_subparsers(dest="variant", required=True)
+    inj = variants.add_parser("inj", help="injective words on the letters 1..m")
+    inj.add_argument("--m", type=int, required=True, help="letter count")
+    inj.set_defaults(handler=_cmd_homology_inj)
+    full = variants.add_parser("full", help="all words on the letters 1..m, truncated")
+    full.add_argument("--m", type=int, required=True, help="letter count")
+    full.add_argument("--max-degree", type=_positive_int, required=True, help="truncation degree")
+    full.set_defaults(handler=_cmd_homology_full)
+    gp = variants.add_parser("gp", help="words in general position to a base word")
+    _add_relation_flags(gp)
+    gp.add_argument("--base", help="base word as JSON (default [])")
+    gp.add_argument("--max-degree", type=_degree_or_auto, help="truncation degree, or 'auto'")
+    gp.set_defaults(handler=_cmd_homology_gp)
+    for variant in (full, gp):
+        variant.add_argument("--max-basis", type=int, help="basis-word budget override")
+    for variant in (inj, full, gp):
+        _add_common(variant, "text")
 
     fill = sub.add_parser("fill", help="produce a boundary-filling certificate")
     fill.add_argument("--input", required=True, help="chain JSON file, or - for stdin")
-    fill.add_argument("--base", default="[]", help="base word as JSON (vector alphabets)")
+    fill.add_argument("--base", help="base word as JSON (vector cycles only; default [])")
     fill.add_argument("--check", action="store_true", help="re-verify the certificate")
     _add_common(fill, "json")
     fill.set_defaults(handler=_cmd_fill)
 
     order = sub.add_parser("gp-order", help="order of a general position relation")
-    _add_relation_flags(order)
-    order.add_argument("--max-n", type=int, default=None, help="search bound")
-    _add_common(order, "json")
+    order.add_argument("--max-n", type=int, help="search bound")
     order.set_defaults(handler=_cmd_gp_order)
 
     axioms = sub.add_parser("axioms", help="randomized check of the relation axioms")
-    _add_relation_flags(axioms)
     axioms.add_argument("--samples", type=int, default=1000, help="number of random triples")
     axioms.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    _add_common(axioms, "json")
     axioms.set_defaults(handler=_cmd_axioms)
+
+    for relation_cmd in (order, axioms):
+        relation_cmd.add_argument(
+            "relation", nargs="?", choices=("vec", "inj"), help="must agree with the flags"
+        )
+        _add_relation_flags(relation_cmd)
+        _add_common(relation_cmd, "json")
 
     nak = sub.add_parser("nakaoka", help="compare H_m across consecutive symmetric groups")
     nak.add_argument("--n", type=int, required=True)
@@ -376,49 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     nak.set_defaults(handler=_cmd_nakaoka)
 
     der = sub.add_parser("derangements", help="derangement count and the closed form")
-    der.add_argument("--m", type=int, required=True)
+    der.add_argument("--m", type=int, required=True, help=f"at most {MAX_DERANGEMENT_M}")
     _add_common(der, "text")
     der.set_defaults(handler=_cmd_derangements)
 
     return parser
 
 
-def _validate_hom_args(args):
-    if args.command == "homology":
-        if args.variant in ("inj", "full") and args.m is None:
-            raise InvalidInput(f"homology {args.variant} needs --m")
-        if args.variant == "full" and args.max_degree is None:
-            raise InvalidInput("homology full needs --max-degree")
-        if args.variant == "full" or (
-            args.variant == "gp" and args.max_degree not in (None, "auto")
-        ):
-            try:
-                args.max_degree = int(args.max_degree)
-            except ValueError as exc:
-                raise InvalidInput("--max-degree must be an integer here") from exc
-            if args.max_degree < 1:
-                raise InvalidInput(
-                    f"homology {args.variant} needs --max-degree >= 1",
-                    max_degree=args.max_degree,
-                )
-
-
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    try:
-        _validate_hom_args(args)
-        budget = args.time_budget
-        if budget is not None and not 0 <= budget <= MAX_TIME_BUDGET:
-            # written as a string: JSON has no inf or nan
-            raise InvalidInput(
-                f"--time-budget must be between 0 and {MAX_TIME_BUDGET:.0f} seconds",
-                time_budget=str(budget),
-            )
-        with _deadline(budget):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # only --help exits; every rejection raises InvalidInput
+            return EXIT_OK
+        with _deadline(args.time_budget):
             return args.handler(args)
     except WordhomError as exc:
         print(json.dumps({"error": exc.to_json()}, sort_keys=True, indent=2))

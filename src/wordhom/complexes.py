@@ -174,13 +174,13 @@ def build_full(m: int, max_degree: int, max_basis: int | None = None) -> ChainCo
     if max_degree < 0:
         raise InvalidInput("truncation degree must be nonnegative", max_degree=max_degree)
     limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
-    total = sum(m**k for k in range(max_degree + 1))
-    if total > limit:
-        raise ResourceLimit(
-            "the truncated word complex exceeds the basis budget",
-            words=total,
-            limit=limit,
-        )
+    total = 0
+    for k in range(max_degree + 1):
+        total += m**k
+        if total > limit:  # reported by degree: the full count can have too many digits
+            raise ResourceLimit(
+                "the truncated word complex exceeds the basis budget", degree=k, limit=limit
+            )
     letters = range(1, m + 1)
     levels = [
         [tuple(word) for word in itertools.product(letters, repeat=k)]

@@ -285,12 +285,6 @@ class VectorRelation(GeneralPositionRelation):
         ys = [self._canonical(v) for v in y]
         return self._oracle.in_position(xs, ys)
 
-    def projective_point(self, v) -> Word:
-        rep = self._canonical(v)
-        if rep == self._oracle.zero:
-            raise InvalidInput("the zero vector has no projective point")
-        return rep
-
     def projective_points(self) -> list:
         """Canonical representatives of every projective point, sorted."""
         return [self._oracle.point(q) for q in range(1, self._oracle.size + 1)]

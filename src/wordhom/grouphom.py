@@ -29,6 +29,34 @@ def _check_order(order: int) -> None:
         raise ResourceLimit("group order beyond the desk-scale cap", order=order)
 
 
+def _symmetric_order(n: int) -> int:
+    """n!, once n is known to be within the group-order cap."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInput("need n >= 1", n=n)
+    # Past 20 letters only n is reported, since n! soon has too many digits
+    # to print and to compute.
+    if n > 20:
+        raise ResourceLimit("group order beyond the desk-scale cap", n=n)
+    order = math.factorial(n)
+    _check_order(order)
+    return order
+
+
+def _check_generators(order: int, k: int, normalized: bool, max_generators: int) -> int:
+    """The bar width, once degrees 0..k (at most width**k generators) fit the cap.
+
+    An over-cap count is reported by its degree; it is not even formed when
+    (width.bit_length() - 1) * k, a lower bound on its log2, exceeds the cap's.
+    """
+    width = order - 1 if normalized else order
+    past_cap = (width.bit_length() - 1) * k > max_generators.bit_length()
+    if past_cap or max(1, width**k) > max_generators:
+        raise ResourceLimit(
+            "bar complex generator count over the cap", degree=k, limit=max_generators
+        )
+    return width
+
+
 class PermutationGroup:
     """Finite group of permutations with a precomputed multiplication table.
 
@@ -79,14 +107,9 @@ class PermutationGroup:
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
-        if not isinstance(n, int) or n < 1:
-            raise InvalidInput("need n >= 1", n=n)
         # The cap is checked before any permutation is listed: S_11 alone has
-        # 39.9 million.  Past 20 letters only n is reported, since n! soon has
-        # too many digits to print and to compute.
-        if n > 20:
-            raise ResourceLimit("group order beyond the desk-scale cap", n=n)
-        _check_order(math.factorial(n))
+        # 39.9 million.
+        _symmetric_order(n)
         return PermutationGroup(itertools.permutations(range(n)), name=f"S_{n}")
 
     @staticmethod
@@ -127,13 +150,7 @@ def bar_boundary(
     """Bar differential from degree k to degree k-1 with integer coefficients."""
     if k < 1:
         raise InvalidInput("the bar differential starts at degree 1", k=k)
-    width = (group.order - 1) if normalized else group.order
-    if width**k > max_generators or width ** (k - 1) > max_generators:
-        raise ResourceLimit(
-            "bar complex generator count over the cap",
-            generators=width**k,
-            limit=max_generators,
-        )
+    _check_generators(group.order, k, normalized, max_generators)
     lower = _bar_generators(group, k - 1, normalized)
     upper = _bar_generators(group, k, normalized)
     row_index = {g: i for i, g in enumerate(lower)}
@@ -170,7 +187,7 @@ def build_bar_complex(
     """Bar complex of the group through max_degree, truncated there."""
     if max_degree < 0:
         raise InvalidInput("need max_degree >= 0", max_degree=max_degree)
-    width = (group.order - 1) if normalized else group.order
+    width = _check_generators(group.order, max_degree, normalized, max_generators)
     return ChainComplexRep(
         dims=tuple(width**k for k in range(max_degree + 1)),
         boundaries=tuple(
@@ -310,11 +327,11 @@ def nakaoka_table(
         raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
     if max_degree < 0:
         raise InvalidInput("need max_degree >= 0", max_degree=max_degree)
-    small = build_bar_complex(
-        PermutationGroup.symmetric(n - 1), max_degree + 1, normalized, max_generators
-    )
-    large = build_bar_complex(
-        PermutationGroup.symmetric(n), max_degree + 1, normalized, max_generators
+    # S_n has the larger bar complex: its caps are checked before anything is built.
+    _check_generators(_symmetric_order(n), max_degree + 1, normalized, max_generators)
+    small, large = (
+        build_bar_complex(PermutationGroup.symmetric(k), max_degree + 1, normalized, max_generators)
+        for k in (n - 1, n)
     )
     degrees = range(max_degree + 1)
     lhs = homology_table(small, degrees)

@@ -86,9 +86,6 @@ class SparseIntMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def entry(self, r: int, c: int) -> int:
-        return self._entries.get((r, c), 0)
-
     def nnz(self) -> int:
         return len(self._entries)
 

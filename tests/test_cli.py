@@ -1,4 +1,6 @@
+import io
 import json
+import random
 import subprocess
 import sys
 
@@ -342,3 +344,186 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "derangements(3) = 2" in proc.stdout
+
+
+# -- the argument contract ------------------------------------------------------
+
+def _assert_error_json(out, code="invalid-input"):
+    assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "inj", "--m", "3", "--p", "3"),
+        ("homology", "inj", "--m", "3", "--dim", "2"),
+        ("homology", "inj", "--m", "3", "--base", "[]"),
+        ("homology", "inj", "--m", "3", "--max-degree", "1"),
+        ("homology", "inj", "--m", "3", "--max-basis", "100"),
+        ("homology", "full", "--m", "2", "--max-degree", "2", "--p", "3"),
+        ("homology", "full", "--m", "2", "--max-degree", "2", "--dim", "2"),
+        ("homology", "full", "--m", "2", "--max-degree", "2", "--base", "[]"),
+        ("homology", "gp", "--m", "4", "--p", "3", "--dim", "2"),
+        ("gp-order", "--p", "3", "--dim", "2", "--m", "5"),
+        ("gp-order", "inj", "--m", "5", "--p", "3"),
+        ("gp-order", "inj", "--m", "5", "--dim", "2"),
+        ("axioms", "--p", "3", "--dim", "2", "--m", "5", "--samples", "5"),
+        ("axioms", "inj", "--m", "5", "--p", "3", "--samples", "5"),
+        ("axioms", "inj", "--m", "5", "--dim", "2", "--samples", "5"),
+    ],
+)
+def test_flag_a_variant_does_not_read_is_rejected(capture, argv):
+    code, out = capture(*argv)
+    assert code == 2
+    _assert_error_json(out)
+
+
+def test_fill_rejects_base_on_letters_cycle(tmp_path, capture):
+    path = tmp_path / "cycle.json"
+    path.write_text(Chain.term(Alphabet.letters(3), (1, 2)).boundary().serialize())
+    code, out = capture("fill", "--input", str(path), "--base", "[]")
+    assert code == 2
+    _assert_error_json(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derangements", "--m", "3", "--seed", "1"),
+        ("derangements",),
+        ("derangements", "--m", "abc"),
+        ("homology", "sideways", "--m", "3"),
+        ("gp-order", "both", "--p", "3", "--dim", "2"),
+        ("nakaoka", "--n", "3", "--max-degree", "1", "--format", "xml"),
+        (),
+    ],
+)
+def test_argparse_rejections_print_the_error_json(capture, argv):
+    code, out = capture(*argv)
+    assert code == 2
+    _assert_error_json(out)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("homology", "gp", "--help")])
+def test_help_exits_zero(capture, argv):
+    code, out = capture(*argv)
+    assert code == 0
+    assert out.startswith("usage: wordhom")
+
+
+def test_relation_positional_may_be_left_to_the_flags(capture):
+    code, out = capture("gp-order", "--m", "5")
+    assert code == 0
+    assert json.loads(out)["order"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "full", "--m", "10", "--max-degree", "5000"),
+        ("derangements", "--m", "1700"),
+        ("nakaoka", "--n", "4", "--max-degree", "5000", "--max-generators", "1" + "0" * 4000),
+    ],
+)
+def test_counts_past_the_digit_limit_are_a_resource_limit(capture, argv):
+    code, out = capture(*argv, "--time-budget", "10")
+    assert code == 3
+    _assert_error_json(out, "resource-limit")
+
+
+def test_nakaoka_checks_both_caps_before_building(capture, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a bar complex was built")
+
+    monkeypatch.setattr("wordhom.grouphom.bar_boundary", no_build)
+    code, out = capture("nakaoka", "--n", "3", "--max-degree", "2000")
+    assert code == 3
+    _assert_error_json(out, "resource-limit")
+
+
+# -- seeded fuzzing: every mutation is answered or rejected with the error JSON --
+
+FUZZ_SEED = 8
+MALFORMED = ["abc", "1.5", "-1", "0", "true", "nan", "[]"]
+MALFORMED_JSON = ["abc", 1.5, -1, 0, True, float("nan"), []]  # the same values in JSON
+FUZZ_ARGV = [
+    ["homology", "inj", "--m", "3"],
+    ["homology", "full", "--m", "2", "--max-degree", "2", "--max-basis", "50"],
+    ["homology", "gp", "--p", "3", "--dim", "2", "--base", "[[1, 0]]", "--max-degree", "2"],
+    ["homology", "gp", "--m", "3", "--base", "[1]"],
+    ["gp-order", "inj", "--m", "3", "--max-n", "4"],
+    ["gp-order", "--p", "2", "--dim", "2"],
+    ["axioms", "vec", "--p", "2", "--dim", "2", "--samples", "5", "--seed", "1"],
+    ["nakaoka", "--n", "3", "--max-degree", "1", "--max-generators", "100"],
+    ["derangements", "--m", "4", "--format", "json"],
+]
+FUZZ_CHAINS = [
+    (Chain.term(Alphabet.letters(3), (1, 2)).boundary(), None),
+    (Chain.term(Alphabet.vectors(3, 2), ((0, 1), (1, 1))).boundary(), "[[1, 0]]"),
+]
+
+
+def _mutate_tokens(rng, tokens):
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    action = rng.choice(("drop", "duplicate", "retype"))
+    if action == "drop":
+        del tokens[i]
+    elif action == "duplicate":
+        tokens.insert(i, tokens[i])
+    else:
+        tokens[i] = rng.choice(MALFORMED)
+    return tokens
+
+
+def _mutate_json(rng, obj):
+    """obj with one node dropped, duplicated (in a list) or replaced by a malformed value."""
+    slots = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            for key in list(node) if isinstance(node, dict) else range(len(node)):
+                slots.append((node, key))
+                walk(node[key])
+
+    walk(obj)
+    node, key = rng.choice(slots)
+    action = rng.choice(("drop", "duplicate", "retype") if isinstance(node, list) else ("drop", "retype"))
+    if action == "drop":
+        del node[key]
+    elif action == "duplicate":
+        node.insert(key, node[key])
+    else:
+        node[key] = rng.choice(MALFORMED_JSON)
+    return obj
+
+
+def _assert_answered_or_rejected(code, out):
+    assert code in (0, 2, 3)
+    if code:
+        assert set(json.loads(out)) == {"error"}
+
+
+def test_fuzzed_arguments_are_answered_or_rejected(capture):
+    rng = random.Random(FUZZ_SEED)
+    for _ in range(250):
+        argv = _mutate_tokens(rng, rng.choice(FUZZ_ARGV))
+        code, out = capture(*argv, "--time-budget", "2")
+        _assert_answered_or_rejected(code, out)
+
+
+def test_fuzzed_chains_and_bases_are_answered_or_rejected(capture, monkeypatch):
+    rng = random.Random(FUZZ_SEED)
+    for _ in range(150):
+        cycle, base = rng.choice(FUZZ_CHAINS)
+        raw = json.dumps(_mutate_json(rng, cycle.to_json()))
+        argv = ["fill", "--input", "-", "--check", "--time-budget", "2"]
+        if base is not None and rng.random() < 0.5:
+            base = json.dumps(_mutate_json(rng, json.loads(base)))
+        if base is not None:
+            argv += ["--base", base]
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        code, out = capture(*argv)
+        _assert_answered_or_rejected(code, out)
+        if code == 0:
+            assert Chain.from_json(json.loads(out)["input"]) == Chain.parse(raw)

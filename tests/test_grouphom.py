@@ -167,3 +167,10 @@ def test_group_homology_of_cyclic_four():
     assert group_homology(G, 1) == HomologyGroup(0, (4,))
     assert group_homology(G, 2) == HomologyGroup(0)
     assert group_homology(G, 3) == HomologyGroup(0, (4,))
+
+
+def test_generator_cap_reports_the_degree_not_the_count():
+    # 23**5000 has 6809 digits, past what Python turns into a decimal string.
+    with pytest.raises(ResourceLimit) as info:
+        bar_boundary(PermutationGroup.symmetric(4), 5000)
+    assert info.value.context == {"degree": 5000, "limit": 20000}
