@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--max-degree", type=_degree_or_auto, help="truncation degree, or 'auto'")
     gp.set_defaults(handler=_cmd_homology_gp)
     for variant in (full, gp):
-        variant.add_argument("--max-basis", type=int, help="basis-word budget override")
+        variant.add_argument("--max-basis", type=_positive_int, help="basis-word budget override")
     for variant in (inj, full, gp):
         _add_common(variant, "text")
 
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     fill.set_defaults(handler=_cmd_fill)
 
     order = sub.add_parser("gp-order", help="order of a general position relation")
-    order.add_argument("--max-n", type=int, help="search bound")
+    order.add_argument("--max-n", type=_positive_int, help="search bound")
     order.set_defaults(handler=_cmd_gp_order)
 
     axioms = sub.add_parser("axioms", help="randomized check of the relation axioms")
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     nak.add_argument("--max-degree", type=int, required=True)
     nak.add_argument(
         "--max-generators",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_GENERATORS,
         help="bar-complex generator budget",
     )

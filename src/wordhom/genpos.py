@@ -453,7 +453,8 @@ def gp_order(relation: GeneralPositionRelation, max_n: int | None = None) -> GpO
     word of length up to max_n exists the result is the lower bound
     max_n + 1.  Relations that declare ``set_blocking`` are searched over
     canonical sets, bounded by the number of candidates; otherwise all
-    sequences with repeats are enumerated, which needs max_n.
+    sequences with repeats are enumerated, which needs max_n.  A negative
+    max_n is invalid input.
     """
     universe = sorted(set(relation.extension_candidates()))
     if not universe:
@@ -462,6 +463,8 @@ def gp_order(relation: GeneralPositionRelation, max_n: int | None = None) -> GpO
         if not relation.set_blocking:
             raise InvalidInput("a sequence search over an abstract relation needs max_n")
         max_n = len(universe)
+    elif max_n < 0:
+        raise InvalidInput("the search bound must be nonnegative", max_n=max_n)
 
     for n in range(max_n + 1):
         if relation.set_blocking:

@@ -10,6 +10,15 @@ are kept in buckets by length, so choosing a pivot never scans the whole
 matrix.  The policy is part of the contract so that runs are reproducible;
 invariant factors are unique, so they (and every result built on them) do
 not depend on it.
+
+The elimination works on whole rows.  A row operation, row_i -= q*row_p or
+the extended-gcd pair that replaces both rows, rewrites each row in one
+pass, touches the column sets only where a row gains or loses a column, and
+moves each row between length buckets once.  When the pivot column holds
+only the pivot row and the pivot divides every entry of that row, column
+operations would zero the rest of the row without touching any other row,
+so the row is deleted in one step.  Otherwise the extended-gcd column path
+clears the row entry by entry, and the pivot column is cleared again.
 """
 
 from __future__ import annotations
@@ -184,55 +193,70 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
             else:
                 bucket.add(i)
 
-    def set_entry(i, j, v):
-        row = rows.get(i)
-        if v:
-            if row is None:
-                rows[i] = {j: v}
-                move_row(i, 0, 1)
-            else:
-                if j not in row:
-                    n = len(row)
-                    move_row(i, n, n + 1)
-                row[j] = v
-            s = cols.get(j)
-            if s is None:
-                cols[j] = {i}
-            else:
-                s.add(i)
-        elif row is not None and j in row:
-            n = len(row)
+    def put(row, i, j, w):
+        # Write w at (i, j) of row, keeping cols; the caller refiles the row.
+        if w:
+            if j not in row:
+                s = cols.get(j)
+                if s is None:
+                    cols[j] = {i}
+                else:
+                    s.add(i)
+            row[j] = w
+        elif j in row:
             del row[j]
-            if not row:
-                del rows[i]
-            move_row(i, n, n - 1)
             s = cols[j]
             s.discard(i)
             if not s:
                 del cols[j]
 
-    def clear_in_column(pr, i, c):
-        # Zero the entry (i, c) against the pivot row pr, unimodularly.
+    def refile(i, row, old):
+        # Row i had old entries before the operation just done on it: drop
+        # it if it is empty, and move it to its new bucket once.
+        new = len(row)
+        if not new:
+            del rows[i]
+        if new != old:
+            move_row(i, old, new)
+
+    def set_entry(i, j, v):
+        row = rows.setdefault(i, {})
+        old = len(row)
+        put(row, i, j, v)
+        refile(i, row, old)
+
+    def subtract_multiple(i, q, prow):
+        # row_i -= q * prow in one pass.  Every column of prow holds the
+        # pivot row, so no column set empties or needs creating.
+        irow = rows[i]
+        old = len(irow)
+        for j, v in prow.items():
+            w = irow.get(j)
+            if w is None:
+                irow[j] = -q * v
+                cols[j].add(i)
+            else:
+                w -= q * v
+                if w:
+                    irow[j] = w
+                else:
+                    del irow[j]
+                    cols[j].discard(i)
+        refile(i, irow, old)
+
+    def combine(pr, i, x, y, ag, bg):
+        # (row_pr, row_i) <- (x*row_pr + y*row_i, ag*row_i - bg*row_pr) in
+        # one pass over the union of both rows.
         prow = rows[pr]
-        a = prow[c]
-        b = rows[i][c]
-        if b % a == 0:
-            q = b // a
-            irow = rows[i]
-            for j, v in list(prow.items()):
-                w = irow.get(j, 0) - q * v
-                set_entry(i, j, w)
-        else:
-            g, x, y = xgcd(a, b)
-            ag = a // g
-            bg = b // g
-            old_pr = dict(prow)
-            old_i = dict(rows[i])
-            for j in set(old_pr) | set(old_i):
-                v1 = old_pr.get(j, 0)
-                v2 = old_i.get(j, 0)
-                set_entry(pr, j, x * v1 + y * v2)
-                set_entry(i, j, ag * v2 - bg * v1)
+        irow = rows[i]
+        old_p, old_i = len(prow), len(irow)
+        for j in set(prow) | set(irow):
+            v1 = prow.get(j, 0)
+            v2 = irow.get(j, 0)
+            put(prow, pr, j, x * v1 + y * v2)
+            put(irow, i, j, ag * v2 - bg * v1)
+        refile(pr, prow, old_p)
+        refile(i, irow, old_i)
 
     def clear_in_row(r, c_pivot, j):
         # Zero the entry (r, j) against the pivot column c_pivot.
@@ -258,24 +282,34 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
     while rows:
         pr = min(by_len[min(by_len)])
         prow = rows[pr]
-        pc = min(prow, key=lambda j: (abs(prow[j]), len(cols[j]), j))
+        least = min(map(abs, prow.values()))
+        tied = [j for j, v in prow.items() if v == least or v == -least]
+        pc = min(zip(map(len, map(cols.__getitem__, tied)), tied))[1]
         while True:
-            col_others = [i for i in cols[pc] if i != pr]
-            for i in col_others:
-                if i in rows and pc in rows[i]:
-                    clear_in_column(pr, i, pc)
-            row_others = [j for j in rows[pr] if j != pc]
-            if not row_others:
-                if len(cols[pc]) == 1:
-                    break
-                continue
-            for j in row_others:
-                if j in rows[pr]:
-                    clear_in_row(pr, pc, j)
-            if len(rows[pr]) == 1 and len(cols[pc]) == 1:
+            # Clear the pivot column: afterwards it holds the pivot row only.
+            for i in [i for i in cols[pc] if i != pr]:
+                a = prow[pc]
+                b = rows[i][pc]
+                if b % a == 0:
+                    subtract_multiple(i, b // a, prow)
+                else:
+                    g, x, y = xgcd(a, b)
+                    combine(pr, i, x, y, a // g, b // g)
+            a = prow[pc]
+            if a in (1, -1) or all(v % a == 0 for v in prow.values()):
+                # Column operations would now zero the rest of the row
+                # without touching any other row: delete it in one step.
+                for j in prow:
+                    s = cols[j]
+                    s.discard(pr)
+                    if not s:
+                        del cols[j]
+                move_row(pr, len(prow), 0)
+                del rows[pr]
+                diag.append(abs(a))
                 break
-        diag.append(abs(rows[pr][pc]))
-        set_entry(pr, pc, 0)
+            for j in [j for j in prow if j != pc]:
+                clear_in_row(pr, pc, j)
 
     # Normalize the diagonal into a divisibility chain; gcd/lcm on a pair of
     # diagonal entries is realizable by unimodular operations.

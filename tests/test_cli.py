@@ -274,6 +274,20 @@ def test_flag_of_another_subcommand_is_rejected(capture, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gp-order", "inj", "--m", "5", "--max-n", "-1"),
+        ("homology", "full", "--m", "2", "--max-degree", "2", "--max-basis", "-1"),
+        ("nakaoka", "--n", "3", "--max-degree", "1", "--max-generators", "-1"),
+    ],
+)
+def test_negative_search_bound_or_budget_is_invalid(capture, argv):
+    code, out = capture(*argv)
+    assert code == 2
+    _assert_error_json(out)
+
+
 def test_max_generators_flag_limits_nakaoka(capture):
     code, out = capture("nakaoka", "--n", "4", "--max-degree", "2", "--max-generators", "10")
     assert code == 3

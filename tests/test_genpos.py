@@ -278,6 +278,15 @@ def test_gp_order_abstract_relation_needs_bound():
         gp_order(SequenceSearched(3))
 
 
+@pytest.mark.parametrize("relation", [VectorRelation(3, 2), SequenceSearched(3)])
+def test_gp_order_rejects_negative_bound(relation):
+    with pytest.raises(InvalidInput):
+        gp_order(relation, max_n=-1)
+    # 0 is a bound: only the empty word is searched
+    result = gp_order(relation, max_n=0)
+    assert not result.exact and result.value == 1
+
+
 def test_gp_order_sequence_search_matches_set_search():
     # The broken relation still blocks exactly when the set covers everything.
     result = gp_order(SequenceSearched(3), max_n=4)

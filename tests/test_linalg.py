@@ -5,6 +5,7 @@ import pytest
 from wordhom import (
     PermutationGroup,
     SparseIntMatrix,
+    bar_boundary,
     build_bar_complex,
     build_injective,
     rank,
@@ -48,6 +49,27 @@ def test_snf_matches_naive_oracle_on_random_matrices():
         expected = naive_smith_normal_form(dense)
         got = smith_normal_form(SparseIntMatrix.from_dense(dense))
         assert got == expected, dense
+
+
+def test_snf_matches_naive_oracle_on_random_pivot_mixes():
+    # Entries in -2..3 give pivots of 1, 2 and 3 within one matrix, so single
+    # pivots run the divisible row kernel, the xgcd row pair, the xgcd column
+    # path and the one-step delete of a settled non-unit pivot row.
+    rng = random.Random(2001)
+    for _ in range(200):
+        rows = rng.randint(1, 15)
+        cols = rng.randint(1, 15)
+        dense = [[rng.randint(-2, 3) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == naive_smith_normal_form(
+            dense
+        ), dense
+
+
+def test_snf_of_wide_s5_bar_differential():
+    # The wide 119x14161 normalized bar d2 of S_5: H_1(S_5) = Z/2.
+    m = bar_boundary(PermutationGroup.symmetric(5), 2)
+    assert m.shape == (119, 14161)
+    assert smith_normal_form(m) == [1] * 118 + [2]
 
 
 def test_snf_divisibility_chain_on_random_sparse():
