@@ -4,16 +4,19 @@
 matrices and, for word complexes, the bases; ``grouphom.build_bar_complex``
 returns one without bases.  Constructing one checks d_k d_{k+1} = 0.
 
-Three word-complex builders are provided: the complex of injective words on
-m letters (complete), the full word complex truncated at a chosen degree, and
-the subcomplex of words in general position to a base word.  Bases are stored
-in canonical (lexicographic) order, and column j of each boundary matrix is
-the boundary of basis word j expressed in the lower basis.
+Three word complexes are built: injective words on m letters (complete), all
+words on m letters truncated at a chosen degree, and the words in general
+position to a base word.  Each is a prefix-closed set of words, the last by
+the weakening axiom (ii), so one enumerator builds all three: it extends
+every word of degree k by each symbol in canonical order and keeps what the
+builder's rule admits.  Bases therefore come out in lexicographic order, and
+column j of each boundary matrix is the boundary of basis word j expressed
+in the lower basis.  The basis budget counts every word kept, in every
+degree, and is checked at each one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Word
@@ -113,7 +116,7 @@ class ChainComplexRep:
         return out
 
 
-def _boundary_matrix(alphabet: Alphabet, lower: tuple, upper: tuple) -> SparseIntMatrix:
+def _boundary_matrix(lower: tuple, upper: tuple) -> SparseIntMatrix:
     index = {w: i for i, w in enumerate(lower)}
     entries: dict[tuple, int] = {}
     for j, word in enumerate(upper):
@@ -137,12 +140,46 @@ def _boundary_matrix(alphabet: Alphabet, lower: tuple, upper: tuple) -> SparseIn
     return SparseIntMatrix(len(lower), len(upper), entries)
 
 
+def _enumerate(symbols, admits, max_degree, max_basis) -> tuple[list, bool]:
+    """Levels 0..max_degree of a prefix-closed word set, and whether it is complete.
+
+    Level k+1 is every ``word + (s,)`` with word in level k, s in ``symbols``
+    order and ``admits(word, s)``.  With max_degree None levels are built until
+    one is empty, and the set is complete.  Every word kept counts against
+    the budget, which is checked at each word.
+    """
+    limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
+    if limit < 1:
+        raise InvalidInput("the basis budget must be at least 1", max_basis=limit)
+    if max_degree is not None and max_degree < 0:
+        raise InvalidInput("truncation degree must be nonnegative", max_degree=max_degree)
+    levels = [[()]]
+    total = 1
+    while max_degree is None or len(levels) <= max_degree:
+        level = []
+        for word in levels[-1]:
+            for s in symbols:
+                if admits(word, s):
+                    total += 1
+                    if total > limit:
+                        raise ResourceLimit(
+                            "the word complex exceeds the basis budget",
+                            degree=len(levels),
+                            limit=limit,
+                        )
+                    level.append(word + (s,))
+        if not level:
+            return levels, True
+        levels.append(level)
+    return levels, False
+
+
 def _assemble(alphabet, levels, complete, description) -> ChainComplexRep:
     bases = tuple(tuple(level) for level in levels)
     return ChainComplexRep(
         dims=tuple(len(level) for level in bases),
         boundaries=tuple(
-            _boundary_matrix(alphabet, bases[k - 1], bases[k]) for k in range(1, len(bases))
+            _boundary_matrix(bases[k - 1], bases[k]) for k in range(1, len(bases))
         ),
         complete=complete,
         alphabet=alphabet,
@@ -155,37 +192,15 @@ def build_injective(m: int) -> ChainComplexRep:
     """Complete complex of injective words on the letters 1..m."""
     if not isinstance(m, int) or not 1 <= m <= 8:
         raise InvalidInput("injective-word complex supported for 1 <= m <= 8", m=m)
-    letters = range(1, m + 1)
-    levels = [
-        [tuple(word) for word in itertools.permutations(letters, k)]
-        for k in range(m + 1)
-    ]
-    return _assemble(
-        Alphabet.letters(m),
-        levels,
-        complete=True,
-        description={"complex": "injective", "m": m},
-    )
+    alphabet = Alphabet.letters(m)
+    levels, complete = _enumerate(alphabet.symbols(), lambda word, s: s not in word, None, None)
+    return _assemble(alphabet, levels, complete, description={"complex": "injective", "m": m})
 
 
 def build_full(m: int, max_degree: int, max_basis: int | None = None) -> ChainComplexRep:
     """Full word complex on m letters, truncated at max_degree."""
     alphabet = Alphabet.letters(m)
-    if max_degree < 0:
-        raise InvalidInput("truncation degree must be nonnegative", max_degree=max_degree)
-    limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
-    total = 0
-    for k in range(max_degree + 1):
-        total += m**k
-        if total > limit:  # reported by degree: the full count can have too many digits
-            raise ResourceLimit(
-                "the truncated word complex exceeds the basis budget", degree=k, limit=limit
-            )
-    letters = range(1, m + 1)
-    levels = [
-        [tuple(word) for word in itertools.product(letters, repeat=k)]
-        for k in range(max_degree + 1)
-    ]
+    levels, _ = _enumerate(alphabet.symbols(), lambda word, s: True, max_degree, max_basis)
     return _assemble(
         alphabet,
         levels,
@@ -202,47 +217,22 @@ def build_gp(
 ) -> ChainComplexRep:
     """Subcomplex of words in general position to the base word.
 
-    Words are enumerated depth first in canonical symbol order with prefix
-    pruning: a word in general position to the base has every prefix in
-    general position to it, so each level extends the previous one.  In auto
-    mode (max_degree None) levels are built until one is empty, which is how
-    intrinsically bounded relations terminate; unbounded growth runs into the
-    basis budget instead.  The base must itself be in general position,
-    gp(base; ()), or PreconditionViolated is raised.
+    By weakening (axiom ii) every prefix of a word in general position to
+    the base is in general position to it, so the complex is the prefix-closed
+    set that the one enumerator builds, with the rule gp(word + (s,); base).
+    In auto mode (max_degree None) levels are built until one is empty, which
+    is how intrinsically bounded relations terminate; unbounded growth runs
+    into the basis budget instead.  The base must itself be in general
+    position, gp(base; ()), or PreconditionViolated is raised.
     """
     alphabet = relation.alphabet
     base = relation.check_base(base)
-    limit = DEFAULT_MAX_BASIS if max_basis is None else max_basis
-    symbols = alphabet.symbols()
-
-    levels: list[list[Word]] = [[()]]
-    total = 1
-    complete = False
-    degree = 0
-    while True:
-        if max_degree is not None and degree >= max_degree:
-            break
-        previous = levels[-1]
-        level = []
-        for word in previous:
-            for s in symbols:
-                candidate = word + (s,)
-                if relation.gp(candidate, base):
-                    level.append(candidate)
-        if not level:
-            complete = True
-            break
-        total += len(level)
-        if total > limit:
-            raise ResourceLimit(
-                "general-position complex exceeds the basis budget",
-                degree=degree + 1,
-                words=total,
-                limit=limit,
-            )
-        levels.append(level)
-        degree += 1
-
+    levels, complete = _enumerate(
+        alphabet.symbols(),
+        lambda word, s: relation.gp(word + (s,), base),
+        max_degree,
+        max_basis,
+    )
     descr = {
         "complex": "general-position",
         "relation": relation.describe(),

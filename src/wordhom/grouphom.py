@@ -47,7 +47,12 @@ def _check_generators(order: int, k: int, normalized: bool, max_generators: int)
 
     An over-cap count is reported by its degree; it is not even formed when
     (width.bit_length() - 1) * k, a lower bound on its log2, exceeds the cap's.
+    A cap below 1 is invalid input.
     """
+    if max_generators < 1:
+        raise InvalidInput(
+            "the generator budget must be at least 1", max_generators=max_generators
+        )
     width = order - 1 if normalized else order
     past_cap = (width.bit_length() - 1) * k > max_generators.bit_length()
     if past_cap or max(1, width**k) > max_generators:

@@ -259,6 +259,16 @@ def test_resource_limit_from_flag(capture):
     assert json.loads(out)["error"]["code"] == "resource-limit"
 
 
+def test_gp_resource_limit_reports_the_degree(capture):
+    code, out = capture(
+        "homology", "gp", "--p", "5", "--dim", "2", "--base", "[[1,0]]", "--max-basis", "10"
+    )
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert error["context"] == {"degree": 1, "limit": 10}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

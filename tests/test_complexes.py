@@ -82,8 +82,63 @@ def test_full_d_squared_zero():
 
 
 def test_full_respects_basis_budget():
-    with pytest.raises(ResourceLimit):
+    # 1 + 4 + 16 + 64 + 256 = 341 words fit in 1000; degree 5 is the first past it
+    with pytest.raises(ResourceLimit) as info:
         build_full(4, 10, max_basis=1000)
+    assert info.value.context == {"degree": 5, "limit": 1000}
+
+
+def test_bases_follow_itertools_order():
+    # every matrix's row and column order is this order
+    for m in range(1, 6):
+        letters = range(1, m + 1)
+        expected = tuple(tuple(itertools.permutations(letters, k)) for k in range(m + 1))
+        assert build_injective(m).bases == expected
+    expected = tuple(tuple(itertools.product(range(1, 4), repeat=k)) for k in range(5))
+    assert build_full(3, 4).bases == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_full(2, 2, -1),
+        lambda: build_full(2, 2, 0),
+        lambda: build_full(2, -1),
+        lambda: build_gp(VectorRelation(3, 2), max_basis=0),
+        lambda: build_gp(VectorRelation(3, 2), max_basis=-1),
+        lambda: build_gp(VectorRelation(3, 2), max_degree=-1),
+    ],
+    ids=[
+        "full-budget-neg",
+        "full-budget-zero",
+        "full-degree-neg",
+        "gp-budget-zero",
+        "gp-budget-neg",
+        "gp-degree-neg",
+    ],
+)
+def test_budget_below_one_or_negative_degree_is_invalid(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
+class CountingVectorRelation(VectorRelation):
+    def __init__(self, p, dim):
+        super().__init__(p, dim)
+        self.calls = 0
+
+    def gp(self, x, y):
+        self.calls += 1
+        return super().gp(x, y)
+
+
+def test_basis_budget_is_checked_at_every_word():
+    # degree 2 of F_5^3 has 124 * 120 words; building all of it takes 15,626 gp calls
+    R = CountingVectorRelation(5, 3)
+    with pytest.raises(ResourceLimit) as info:
+        build_gp(R, max_basis=1000)
+    assert info.value.context == {"degree": 2, "limit": 1000}
+    assert R.calls < 2000
 
 
 def test_gp_injective_relation_reproduces_injective_complex():

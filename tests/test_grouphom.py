@@ -82,6 +82,12 @@ def test_bar_respects_generator_cap():
     assert m.shape == (1, 1)
 
 
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_bar_rejects_a_generator_budget_below_one(cap):
+    with pytest.raises(InvalidInput):
+        bar_boundary(PermutationGroup.symmetric(3), 1, max_generators=cap)
+
+
 def test_homology_of_s2_matches_cyclic_two():
     assert sym_homology(2, 1) == HomologyGroup(0, (2,))
     assert sym_homology(2, 2) == HomologyGroup(0)
