@@ -47,6 +47,7 @@ from .grouphom import (
 )
 from .homology import HomologyGroup, derangement_count, homology_table, rank_formula
 from .linalg import SparseIntMatrix, rank, rank_mod_p, smith_normal_form
+from .morse import injective_morse_complex, morse_complex
 
 __version__ = "0.1.0"
 
@@ -91,6 +92,8 @@ __all__ = [
     "group_homology",
     "homology_table",
     "i_invariant",
+    "injective_morse_complex",
+    "morse_complex",
     "nakaoka_table",
     "rank",
     "rank_formula",

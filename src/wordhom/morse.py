@@ -1,0 +1,183 @@
+"""Algebraic Morse theory: a based complex reduced to its critical cells.
+
+An acyclic matching pairs cells σ in degree k with cells τ in degree k+1
+whose incidence [∂τ:σ] is ±1; every cell is critical, redundant (matched
+with a partner one degree up) or collapsible (matched one degree down).  The
+Morse complex has the critical cells as its basis and the same homology
+(Forman 1998; Sköldberg 2006; Jöllenbeck–Welker 2009).  Each cell has an
+image R in it, memoised:
+
+  - a critical cell maps to itself;
+  - a collapsible cell maps to 0;
+  - a redundant σ with partner τ maps to −ε·Σ [∂τ:ρ]·R(ρ) over the faces
+    ρ ≠ σ of τ, where ε = [∂τ:σ].
+
+The Morse boundary of a critical cell c is Σ [∂c:ρ]·R(ρ).  Images are
+computed with an explicit stack.  A cell met again while its own image is
+still being computed means the matching has a cycle, and that, an incidence
+other than ±1, or a classifier that contradicts itself raises
+InternalInvariantBroken.
+
+``injective_morse_complex`` applies the kernel to the paper's cone w ↔ a·w
+on injective words.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+from .chains import add_boundary
+from .complexes import ChainComplexRep
+from .errors import InternalInvariantBroken, InvalidInput
+from .linalg import SparseIntMatrix
+
+CRITICAL = "critical"
+COLLAPSIBLE = "collapsible"
+REDUNDANT = "redundant"
+
+# Largest m for injective_morse_complex: m=9 took 93 s and 1.6 GB on a 2-core
+# host (CHANGES.md); the CLI stops at 8.
+MAX_INJECTIVE_MORSE_M = 9
+
+
+def morse_complex(critical, classify, boundary, description=None) -> ChainComplexRep:
+    """The Morse complex of an acyclic matching, as a complex without bases.
+
+    ``critical[k]`` lists the critical cells of degree k, in basis order.
+    ``classify(cell)`` returns ``(REDUNDANT, partner)``, ``(COLLAPSIBLE,
+    None)`` or ``(CRITICAL, None)``, and ``boundary(cell)`` returns a
+    ``{face: coeff}`` dict.  Cells of different degrees must differ, as words
+    of different lengths do.  Only the cells reached from the critical ones
+    are classified or expanded.
+    """
+    index = {cell: i for level in critical for i, cell in enumerate(level)}
+    images: dict = {}
+
+    def live_faces(terms):
+        """The faces with a nonzero image: critical ones and redundant ones."""
+        out = []
+        for face, c in terms.items():
+            if not c:
+                continue
+            if face in index:
+                out.append((face, c))
+                continue
+            kind, _ = classify(face)
+            if kind == REDUNDANT:
+                out.append((face, c))
+            elif kind != COLLAPSIBLE:
+                raise InternalInvariantBroken("a critical cell is missing from the list", cell=face)
+        return out
+
+    def expand(sigma):
+        """(ρ, −ε·[∂τ:ρ]) over the live faces ρ ≠ σ of σ's partner τ."""
+        _, tau = classify(sigma)
+        if classify(tau)[0] != COLLAPSIBLE:
+            raise InternalInvariantBroken("the partner of a cell is not collapsible", cell=sigma)
+        terms = dict(boundary(tau))
+        eps = terms.pop(sigma, 0)
+        if eps not in (1, -1):
+            raise InternalInvariantBroken(
+                "a matched incidence is not ±1", cell=sigma, incidence=eps
+            )
+        return [(rho, -eps * c) for rho, c in live_faces(terms)]
+
+    def combine(terms) -> dict:
+        total: dict = {}
+        for rho, c in terms:
+            image = {rho: 1} if rho in index else images[rho]
+            for crit, v in image.items():
+                total[crit] = total.get(crit, 0) + c * v
+        return {crit: v for crit, v in total.items() if v}
+
+    def flow(stack):
+        """Memoise the images of the cells on the stack and of all they reach."""
+        pending: dict = {}  # cell -> its expansion, while its image is being computed
+        while stack:
+            sigma = stack[-1]
+            if sigma in images:
+                stack.pop()
+                continue
+            terms = pending.get(sigma)
+            if terms is None:
+                terms = pending[sigma] = expand(sigma)
+                needed = [rho for rho, _ in terms if rho not in index and rho not in images]
+                for rho in needed:
+                    if rho in pending:
+                        raise InternalInvariantBroken("the matching has a cycle", cell=rho)
+                if needed:
+                    stack.extend(needed)
+                    continue
+            images[sigma] = combine(terms)
+            del pending[sigma]
+            stack.pop()
+
+    matrices = []
+    for k in range(1, len(critical)):
+        entries = {}
+        for j, cell in enumerate(critical[k]):
+            terms = live_faces(boundary(cell))
+            flow([rho for rho, _ in terms if rho not in index])
+            for crit, v in combine(terms).items():
+                entries[index[crit], j] = v
+        matrices.append(SparseIntMatrix(len(critical[k - 1]), len(critical[k]), entries))
+    return ChainComplexRep(
+        dims=tuple(len(level) for level in critical),
+        boundaries=tuple(matrices),
+        complete=True,
+        description=description,
+    )
+
+
+def _least_absent(word) -> int:
+    a = 1
+    while a in word:
+        a += 1
+    return a
+
+
+def injective_classify(word):
+    """The cone matching on injective words, with a(w) the least absent letter.
+
+    w is redundant with partner a(w)·w when w is empty or a(w) < w[0].
+    Otherwise w holds every letter below w[0], so a(w[1:]) = w[0]: w is
+    collapsible (partner w[1:]) when it has length 1 or w[0] < w[1], and
+    critical when w[0] > w[1].  Along a gradient path the front letter
+    strictly decreases, so the matching is acyclic.
+    """
+    a = _least_absent(word)
+    if not word or a < word[0]:
+        return REDUNDANT, (a,) + word
+    if len(word) == 1 or word[0] < word[1]:
+        return COLLAPSIBLE, None
+    return CRITICAL, None
+
+
+def word_boundary(word) -> dict:
+    """The boundary of one word, as the fillers and Chain compute it."""
+    terms: dict = {}
+    add_boundary(terms, {word: 1})
+    return terms
+
+
+def injective_morse_complex(m: int) -> ChainComplexRep:
+    """The Morse complex of injective words on 1..m under the cone matching.
+
+    Degree k = 2..m has m!/(m−k+2)! critical words, in lexicographic order;
+    degrees 0 and 1 have none.  Its homology is that of build_injective(m).
+    """
+    if not isinstance(m, int) or not 1 <= m <= MAX_INJECTIVE_MORSE_M:
+        raise InvalidInput(
+            f"the injective Morse complex is supported for 1 <= m <= {MAX_INJECTIVE_MORSE_M}", m=m
+        )
+    letters = range(1, m + 1)
+    critical = [
+        [w for w in permutations(letters, k) if injective_classify(w)[0] == CRITICAL]
+        for k in range(m + 1)
+    ]
+    return morse_complex(
+        critical,
+        injective_classify,
+        word_boundary,
+        description={"complex": "injective-morse", "m": m},
+    )

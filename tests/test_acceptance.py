@@ -11,7 +11,12 @@ import contextlib
 import functools
 import io
 import json
+import os
+import pathlib
 import random
+import resource
+import subprocess
+import sys
 import time
 
 from wordhom import (
@@ -87,6 +92,31 @@ def test_criterion_injective_homology_m7_cli():
         assert groups[k] == {"degree": k, "free_rank": 0, "torsion": []}, groups[k]
     assert 1854 == derangement_count(7) == rank_formula(7)
     assert groups[7] == {"degree": 7, "free_rank": 1854, "torsion": []}
+
+
+def test_injective_homology_m8_cli_in_a_subprocess():
+    """wordhom homology inj --m 8: H_8 = Z^14833 under 500 MB peak RSS.
+
+    No wall-time assertion, since this host's speed varies; the CLI's own
+    --time-budget bounds the run.  RUSAGE_CHILDREN reports the largest child
+    this test process has waited for, an upper bound on this child's peak.
+    """
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["homology", "inj", "--m", "8", "--format", "json", "--time-budget", "60"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordhom", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    groups = {g["degree"]: g for g in json.loads(proc.stdout)["groups"]}
+    assert sorted(groups) == list(range(9))
+    for k in range(8):
+        assert groups[k] == {"degree": k, "free_rank": 0, "torsion": []}, groups[k]
+    assert 14833 == derangement_count(8) == rank_formula(8)
+    assert groups[8] == {"degree": 8, "free_rank": 14833, "torsion": []}
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 500, f"peak RSS {peak_mb:.0f} MB"
 
 
 @criterion("full word complex is acyclic (alphabets up to 3 letters)", 30)

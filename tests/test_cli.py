@@ -360,6 +360,37 @@ def test_time_budget_exits_resource_limit(capture):
     assert json.loads(out)["error"]["code"] == "resource-limit"
 
 
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_exhausted_memory_or_stack_is_a_resource_limit(capture, monkeypatch, exc):
+    def exhaust(args):
+        raise exc()
+
+    monkeypatch.setattr("wordhom.cli._cmd_derangements", exhaust)
+    code, out = capture("derangements", "--m", "3")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert error["context"] == {"exception": exc.__name__}
+
+
+def test_other_exceptions_propagate(capture, monkeypatch):
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("wordhom.cli._cmd_derangements", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        capture("derangements", "--m", "3")
+
+
+@pytest.mark.parametrize("m", ["0", "9"])
+def test_homology_inj_cap(capture, m):
+    code, out = capture("homology", "inj", "--m", m)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid-input"
+    assert error["context"] == {"m": int(m)}
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wordhom", "derangements", "--m", "3"],
