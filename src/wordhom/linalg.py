@@ -11,14 +11,15 @@ matrix.  The policy is part of the contract so that runs are reproducible;
 invariant factors are unique, so they (and every result built on them) do
 not depend on it.
 
-The elimination works on whole rows.  A row operation, row_i -= q*row_p or
-the extended-gcd pair that replaces both rows, rewrites each row in one
-pass, touches the column sets only where a row gains or loses a column, and
-moves each row between length buckets once.  When the pivot column holds
-only the pivot row and the pivot divides every entry of that row, column
-operations would zero the rest of the row without touching any other row,
-so the row is deleted in one step.  Otherwise the extended-gcd column path
-clears the row entry by entry, and the pivot column is cleared again.
+The elimination works on whole rows, and only row operations touch other
+rows.  A row operation, row_i -= q*row_p or the extended-gcd pair that
+replaces both rows, rewrites each row in one pass, touches the column sets
+only where a row gains or loses a column, and moves each row between length
+buckets once.  Once the pivot column holds only the pivot row, a column
+operation changes that row alone.  If the pivot divides every entry of the
+row, the row is deleted in one step.  Otherwise each other entry is reduced
+modulo the pivot, and the row is pivoted again on its least entry (by the
+same rule) until the pivot divides the row; |pivot| drops on every pass.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ def xgcd(a: int, b: int):
 
 
 class SparseIntMatrix:
-    """Immutable sparse integer matrix in coordinate form."""
+    """Immutable sparse integer matrix in coordinate form.
+
+    `identity`, `from_dense`, `to_dense`, `transpose`, `permuted` and the
+    module's `rank` are public construction and inspection API; the tests
+    build their oracle inputs with them.
+    """
 
     __slots__ = ("rows", "cols", "_entries")
 
@@ -219,12 +225,6 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
         if new != old:
             move_row(i, old, new)
 
-    def set_entry(i, j, v):
-        row = rows.setdefault(i, {})
-        old = len(row)
-        put(row, i, j, v)
-        refile(i, row, old)
-
     def subtract_multiple(i, q, prow):
         # row_i -= q * prow in one pass.  Every column of prow holds the
         # pivot row, so no column set empties or needs creating.
@@ -258,34 +258,14 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
         refile(pr, prow, old_p)
         refile(i, irow, old_i)
 
-    def clear_in_row(r, c_pivot, j):
-        # Zero the entry (r, j) against the pivot column c_pivot.
-        a = rows[r][c_pivot]
-        b = rows[r][j]
-        if b % a == 0:
-            q = b // a
-            for i in list(cols[c_pivot]):
-                w = rows[i].get(j, 0) - q * rows[i][c_pivot]
-                set_entry(i, j, w)
-        else:
-            g, x, y = xgcd(a, b)
-            ag = a // g
-            bg = b // g
-            for i in set(cols.get(c_pivot, ())) | set(cols.get(j, ())):
-                irow = rows.get(i, {})
-                v1 = irow.get(c_pivot, 0)
-                v2 = irow.get(j, 0)
-                set_entry(i, c_pivot, x * v1 + y * v2)
-                set_entry(i, j, ag * v2 - bg * v1)
-
     diag: list[int] = []
     while rows:
         pr = min(by_len[min(by_len)])
         prow = rows[pr]
-        least = min(map(abs, prow.values()))
-        tied = [j for j, v in prow.items() if v == least or v == -least]
-        pc = min(zip(map(len, map(cols.__getitem__, tied)), tied))[1]
         while True:
+            least = min(map(abs, prow.values()))
+            tied = [j for j, v in prow.items() if v == least or v == -least]
+            pc = min(zip(map(len, map(cols.__getitem__, tied)), tied))[1]
             # Clear the pivot column: afterwards it holds the pivot row only.
             for i in [i for i in cols[pc] if i != pr]:
                 a = prow[pc]
@@ -308,8 +288,13 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
                 del rows[pr]
                 diag.append(abs(a))
                 break
+            # The column operations col_j -= q*col_pc now touch only the pivot
+            # row: reduce it modulo the pivot.  Some residue is nonzero and
+            # smaller than |a|, so the next pivot of this row is smaller.
+            old = len(prow)
             for j in [j for j in prow if j != pc]:
-                clear_in_row(pr, pc, j)
+                put(prow, pr, j, prow[j] % a)
+            refile(pr, prow, old)
 
     # Normalize the diagonal into a divisibility chain; gcd/lcm on a pair of
     # diagonal entries is realizable by unimodular operations.

@@ -27,9 +27,20 @@ def complex_boundaries():
     }
 
 
-def test_snf_hand_checked_example():
-    m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
-    assert smith_normal_form(m) == [2, 4]
+@pytest.mark.parametrize(
+    "dense, factors",
+    [
+        ([[2, 4], [6, 8]], [2, 4]),
+        # 6 divides neither 10 nor 15: the row is reduced to (6, 4, 3), then
+        # to (0, 1, 3), before its pivot divides it.
+        ([[6, 10, 15]], [1]),
+        ([[2, 3]], [1]),
+        ([[4, 6], [6, 9]], [1]),
+    ],
+    ids=["2-4-6-8", "6-10-15", "2-3", "4-6-6-9"],
+)
+def test_snf_hand_checked_example(dense, factors):
+    assert smith_normal_form(SparseIntMatrix.from_dense(dense)) == factors
 
 
 def test_snf_zero_matrix():
@@ -53,8 +64,9 @@ def test_snf_matches_naive_oracle_on_random_matrices():
 
 def test_snf_matches_naive_oracle_on_random_pivot_mixes():
     # Entries in -2..3 give pivots of 1, 2 and 3 within one matrix, so single
-    # pivots run the divisible row kernel, the xgcd row pair, the xgcd column
-    # path and the one-step delete of a settled non-unit pivot row.
+    # pivots run the divisible row kernel, the xgcd row pair, the reduction
+    # of the pivot row modulo its pivot and the one-step delete of a settled
+    # non-unit pivot row.
     rng = random.Random(2001)
     for _ in range(200):
         rows = rng.randint(1, 15)
