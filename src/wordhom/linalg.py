@@ -5,41 +5,31 @@ floating point anywhere.  The Smith normal form uses integer-preserving
 (unimodular) row and column operations only, with a fixed pivot policy:
 the pivot row is the lowest-index row among the shortest live rows, and the
 pivot column is that row's entry of least absolute value, ties broken by the
-fewest nonzeros in the column, then by the lowest column index.  Live rows
-are kept in buckets by length, so choosing a pivot never scans the whole
-matrix.  The policy is part of the contract so that runs are reproducible;
-invariant factors are unique, so they (and every result built on them) do
-not depend on it.
+fewest nonzeros in the column, then by the lowest column index.  When the
+pivot leaves a nonzero remainder in its column, the pivot moves to the row
+with the least |remainder| there, ties broken by the shorter row, then by
+the lower row index.  Live rows are kept in buckets by length, so choosing a
+pivot never scans the whole matrix.  The policy is part of the contract so
+that runs are reproducible; invariant factors are unique, so they (and
+every result built on them) do not depend on it.
 
-The elimination works on whole rows, and only row operations touch other
-rows.  A row operation, row_i -= q*row_p or the extended-gcd pair that
-replaces both rows, rewrites each row in one pass, touches the column sets
-only where a row gains or loses a column, and moves each row between length
-buckets once.  Once the pivot column holds only the pivot row, a column
-operation changes that row alone.  If the pivot divides every entry of the
-row, the row is deleted in one step.  Otherwise each other entry is reduced
-modulo the pivot, and the row is pivoted again on its least entry (by the
-same rule) until the pivot divides the row; |pivot| drops on every pass.
+The elimination is one Euclidean step at a time, down the pivot column and
+along the pivot row alike.  Every other row of the pivot column is reduced
+modulo the pivot by row_i -= q*row_p, with q the floor quotient of the two
+column entries; this is the only operation that changes another row.  It
+rewrites the row in one pass, touches the column sets only where the row
+gains or loses a column, and moves the row between length buckets once.  If
+a remainder is left, the pivot moves as above and the step repeats.  Once
+the pivot column holds only the pivot row, a column operation changes that
+row alone.  If the pivot divides every entry of the row, the row is deleted
+in one step.  Otherwise each other entry is reduced modulo the pivot, and
+the row is pivoted again on its least entry (by the same rule) until the
+pivot divides the row.  |pivot| drops on every pass in either direction.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-
-def xgcd(a: int, b: int):
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 class SparseIntMatrix:
@@ -244,20 +234,6 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
                     cols[j].discard(i)
         refile(i, irow, old)
 
-    def combine(pr, i, x, y, ag, bg):
-        # (row_pr, row_i) <- (x*row_pr + y*row_i, ag*row_i - bg*row_pr) in
-        # one pass over the union of both rows.
-        prow = rows[pr]
-        irow = rows[i]
-        old_p, old_i = len(prow), len(irow)
-        for j in set(prow) | set(irow):
-            v1 = prow.get(j, 0)
-            v2 = irow.get(j, 0)
-            put(prow, pr, j, x * v1 + y * v2)
-            put(irow, i, j, ag * v2 - bg * v1)
-        refile(pr, prow, old_p)
-        refile(i, irow, old_i)
-
     diag: list[int] = []
     while rows:
         pr = min(by_len[min(by_len)])
@@ -266,16 +242,19 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
             least = min(map(abs, prow.values()))
             tied = [j for j, v in prow.items() if v == least or v == -least]
             pc = min(zip(map(len, map(cols.__getitem__, tied)), tied))[1]
-            # Clear the pivot column: afterwards it holds the pivot row only.
-            for i in [i for i in cols[pc] if i != pr]:
-                a = prow[pc]
-                b = rows[i][pc]
-                if b % a == 0:
-                    subtract_multiple(i, b // a, prow)
-                else:
-                    g, x, y = xgcd(a, b)
-                    combine(pr, i, x, y, a // g, b // g)
             a = prow[pc]
+            # Reduce the rest of the pivot column modulo the pivot.
+            for i in [i for i in cols[pc] if i != pr]:
+                q = rows[i][pc] // a
+                if q:
+                    subtract_multiple(i, q, prow)
+            rest = [i for i in cols[pc] if i != pr]
+            if rest:
+                # Each remainder left is smaller than |a|: pivot again on the
+                # row with the least one, then the shortest, then the lowest.
+                pr = min(rest, key=lambda i: (abs(rows[i][pc]), len(rows[i]), i))
+                prow = rows[pr]
+                continue
             if a in (1, -1) or all(v % a == 0 for v in prow.values()):
                 # Column operations would now zero the rest of the row
                 # without touching any other row: delete it in one step.

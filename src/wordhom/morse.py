@@ -13,10 +13,11 @@ image R in it, memoised:
     ρ ≠ σ of τ, where ε = [∂τ:σ].
 
 The Morse boundary of a critical cell c is Σ [∂c:ρ]·R(ρ).  Images are
-computed with an explicit stack.  A cell met again while its own image is
-still being computed means the matching has a cycle, and that, an incidence
-other than ±1, or a classifier that contradicts itself raises
-InternalInvariantBroken.
+computed with an explicit stack, and each cell is classified once, the first
+time it is met; d_k meets cells of degree k−1 only, so the memo holds one
+degree at a time.  A cell met again while its own image is still being
+computed means the matching has a cycle, and that, an incidence other than
+±1, or a classifier that contradicts itself raises InternalInvariantBroken.
 
 ``injective_morse_complex`` applies the kernel to the paper's cone w ↔ a·w
 on injective words.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .chains import add_boundary
+from .chains import add_boundary, add_terms
 from .complexes import ChainComplexRep
 from .errors import InternalInvariantBroken, InvalidInput
 from .linalg import SparseIntMatrix
@@ -48,30 +49,29 @@ def morse_complex(critical, classify, boundary, description=None) -> ChainComple
     None)`` or ``(CRITICAL, None)``, and ``boundary(cell)`` returns a
     ``{face: coeff}`` dict.  Cells of different degrees must differ, as words
     of different lengths do.  Only the cells reached from the critical ones
-    are classified or expanded.
+    are classified, each once, or expanded.
     """
-    index = {cell: i for level in critical for i, cell in enumerate(level)}
     images: dict = {}
+    partners: dict = {}  # redundant cell -> its partner, once classified
+    zero: dict = {}  # the image of every collapsible cell; never written
 
-    def live_faces(terms):
-        """The faces with a nonzero image: critical ones and redundant ones."""
-        out = []
-        for face, c in terms.items():
-            if not c:
-                continue
-            if face in index:
-                out.append((face, c))
-                continue
-            kind, _ = classify(face)
-            if kind == REDUNDANT:
-                out.append((face, c))
-            elif kind != COLLAPSIBLE:
-                raise InternalInvariantBroken("a critical cell is missing from the list", cell=face)
-        return out
+    def unknown(cell) -> bool:
+        """Whether the cell's image is still to be computed.  A cell met for
+        the first time is classified once; a collapsible one maps to 0."""
+        if cell in images or cell in partners:
+            return cell not in images
+        kind, partner = classify(cell)
+        if kind == COLLAPSIBLE:
+            images[cell] = zero
+            return False
+        if kind != REDUNDANT:
+            raise InternalInvariantBroken("a critical cell is missing from the list", cell=cell)
+        partners[cell] = partner
+        return True
 
-    def expand(sigma):
-        """(ρ, −ε·[∂τ:ρ]) over the live faces ρ ≠ σ of σ's partner τ."""
-        _, tau = classify(sigma)
+    def expand(sigma) -> dict:
+        """{ρ: −ε·[∂τ:ρ]} over the faces ρ ≠ σ of σ's partner τ."""
+        tau = partners.pop(sigma)
         if classify(tau)[0] != COLLAPSIBLE:
             raise InternalInvariantBroken("the partner of a cell is not collapsible", cell=sigma)
         terms = dict(boundary(tau))
@@ -80,15 +80,13 @@ def morse_complex(critical, classify, boundary, description=None) -> ChainComple
             raise InternalInvariantBroken(
                 "a matched incidence is not ±1", cell=sigma, incidence=eps
             )
-        return [(rho, -eps * c) for rho, c in live_faces(terms)]
+        return {rho: -eps * c for rho, c in terms.items()}
 
     def combine(terms) -> dict:
         total: dict = {}
-        for rho, c in terms:
-            image = {rho: 1} if rho in index else images[rho]
-            for crit, v in image.items():
-                total[crit] = total.get(crit, 0) + c * v
-        return {crit: v for crit, v in total.items() if v}
+        for rho, c in terms.items():
+            add_terms(total, images[rho], c)
+        return total
 
     def flow(stack):
         """Memoise the images of the cells on the stack and of all they reach."""
@@ -101,7 +99,7 @@ def morse_complex(critical, classify, boundary, description=None) -> ChainComple
             terms = pending.get(sigma)
             if terms is None:
                 terms = pending[sigma] = expand(sigma)
-                needed = [rho for rho, _ in terms if rho not in index and rho not in images]
+                needed = [rho for rho in terms if unknown(rho)]
                 for rho in needed:
                     if rho in pending:
                         raise InternalInvariantBroken("the matching has a cycle", cell=rho)
@@ -114,10 +112,13 @@ def morse_complex(critical, classify, boundary, description=None) -> ChainComple
 
     matrices = []
     for k in range(1, len(critical)):
+        index = {cell: i for i, cell in enumerate(critical[k - 1])}
+        images.clear()
+        images.update((cell, {cell: 1}) for cell in index)
         entries = {}
         for j, cell in enumerate(critical[k]):
-            terms = live_faces(boundary(cell))
-            flow([rho for rho, _ in terms if rho not in index])
+            terms = boundary(cell)
+            flow([rho for rho in terms if unknown(rho)])
             for crit, v in combine(terms).items():
                 entries[index[crit], j] = v
         matrices.append(SparseIntMatrix(len(critical[k - 1]), len(critical[k]), entries))

@@ -18,7 +18,7 @@ from conftest import naive_smith_normal_form
 @pytest.fixture(scope="module")
 def complex_boundaries():
     """Boundary matrices with unit pivots (injective words, m=5) and with
-    xgcd pivots (bar complex of S_3 to degree 4: Z/2 and Z/6 torsion)."""
+    non-unit pivots (bar complex of S_3 to degree 4: Z/2 and Z/6 torsion)."""
     inj = build_injective(5)
     bar = build_bar_complex(PermutationGroup.symmetric(3), 4)
     return {
@@ -64,9 +64,10 @@ def test_snf_matches_naive_oracle_on_random_matrices():
 
 def test_snf_matches_naive_oracle_on_random_pivot_mixes():
     # Entries in -2..3 give pivots of 1, 2 and 3 within one matrix, so single
-    # pivots run the divisible row kernel, the xgcd row pair, the reduction
-    # of the pivot row modulo its pivot and the one-step delete of a settled
-    # non-unit pivot row.
+    # pivots run the reduction of the pivot column modulo the pivot, the move
+    # of the pivot to the row with the least remainder, the reduction of the
+    # pivot row modulo its pivot and the one-step delete of a settled non-unit
+    # pivot row.
     rng = random.Random(2001)
     for _ in range(200):
         rows = rng.randint(1, 15)
@@ -84,18 +85,34 @@ def test_snf_of_wide_s5_bar_differential():
     assert smith_normal_form(m) == [1] * 118 + [2]
 
 
-def test_snf_divisibility_chain_on_random_sparse():
-    rng = random.Random(9)
-    for _ in range(30):
+def _random_sparse(seed, count):
+    """count sparse matrices up to 50x50 with entries in -9..9."""
+    rng = random.Random(seed)
+    for _ in range(count):
         rows = rng.randint(1, 50)
         cols = rng.randint(1, 50)
         entries = {}
         for _ in range(rng.randint(0, 3 * max(rows, cols))):
             entries[(rng.randrange(rows), rng.randrange(cols))] = rng.randint(-9, 9)
-        m = SparseIntMatrix(rows, cols, entries)
+        yield SparseIntMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("seed, count", [(9, 30), (2, 150), (123, 150)])
+def test_snf_divisibility_chain_on_random_sparse(seed, count):
+    for m in _random_sparse(seed, count):
         factors = smith_normal_form(m)
         assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
         assert all(f >= 1 for f in factors)
+
+
+def test_snf_matches_naive_oracle_on_former_growth_cases():
+    # Clearing the pivot column with extended-gcd row pairs took these three
+    # past a million bits and minutes; one Euclidean step per row stays small.
+    hard = {123: (52, 56), 2: (87,)}
+    for seed, picks in hard.items():
+        for n, m in enumerate(_random_sparse(seed, max(picks) + 1)):
+            if n in picks:
+                assert smith_normal_form(m) == naive_smith_normal_form(m.to_dense()), (seed, n)
 
 
 def test_snf_invariant_under_permutations():
