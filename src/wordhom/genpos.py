@@ -34,55 +34,50 @@ def gp_inj(x, y) -> bool:
 class _SpanOracle:
     """Spans of projective points of F_p^dim, by row reduction and bitmask.
 
-    A point is given by its canonical representative: the vector with its
-    first nonzero coordinate scaled to 1 (the zero vector stays zero).
-    ``basis`` row-reduces a set of points, and a membership test reduces one
-    point against that basis, so deciding gp costs O(k * dim) per set of k
-    points and tested point, whatever p is.  For the blocking test the
-    nonzero points are numbered 1..size in sorted order, and ``span_mask``
-    lists the points of a span from the same basis as an integer whose bit
-    q is set iff point q lies in the span; that costs one step per point of
-    the span, so the masks are cached.  Nothing is precomputed: F_13^6 has
-    4.8 million vectors.
+    A point is named by its index: 0 for the zero vector, and 1..size for
+    the nonzero points in the sorted order of their canonical
+    representatives (the vector with its first nonzero coordinate scaled to
+    1).  ``index`` scales a vector to its point's index and ``point`` gives
+    the representative back.  ``basis`` row-reduces a set of points, and a
+    membership test reduces one point against that basis, so deciding gp
+    costs O(k * dim) per set of k points and tested point, whatever p is.
+    ``span_mask`` lists the points of a span from the same basis as an
+    integer whose bit q is set iff point q lies in the span; that costs one
+    step per point of the span, so the masks are cached.  Nothing is
+    precomputed: F_13^6 has 4.8 million vectors.
     """
 
     def __init__(self, p: int, dim: int):
         self.p = p
         self.dim = dim
-        self.zero = (0,) * dim
         # offsets[j]: number of points whose leading coordinate lies after j
         self._offsets = [sum(p**e for e in range(dim - 1 - j)) for j in range(dim)]
         self.size = sum(p**e for e in range(dim))
         self._spans: dict[tuple, int] = {}
 
-    def canonical(self, v) -> Word:
-        """Canonical representative of a vector of residues mod p."""
-        for lead in v:
+    def index(self, v) -> int:
+        """Index of the point of a vector of residues mod p (0 if zero)."""
+        p = self.p
+        for j, lead in enumerate(v):
             if lead:
-                inv = pow(lead, self.p - 2, self.p)
-                return tuple(a * inv % self.p for a in v)
-        return tuple(v)
-
-    def index(self, rep) -> int:
-        """Index of the point with canonical representative rep (0 if zero)."""
-        for j, lead in enumerate(rep):
-            if lead:
+                inv = pow(lead, p - 2, p)
                 tail = 0
-                for a in rep[j + 1 :]:
-                    tail = tail * self.p + a
+                for a in v[j + 1 :]:
+                    tail = tail * p + a * inv % p
                 return 1 + self._offsets[j] + tail
         return 0
 
     def point(self, q: int) -> Word:
         """Canonical representative of the nonzero point with index q."""
-        p, dim = self.p, self.dim
-        j, offset = next((j, o) for j, o in enumerate(self._offsets) if q > o)
-        tail = q - 1 - offset
-        digits = []
-        for _ in range(dim - 1 - j):
-            tail, a = divmod(tail, p)
-            digits.append(a)
-        return (0,) * j + (1,) + tuple(reversed(digits))
+        j = 0
+        while q <= self._offsets[j]:
+            j += 1
+        tail = q - 1 - self._offsets[j]
+        v = [0] * self.dim
+        v[j] = 1
+        for i in range(self.dim - 1, j, -1):
+            tail, v[i] = divmod(tail, self.p)
+        return tuple(v)
 
     def _reduce(self, basis, v):
         p = self.p
@@ -117,7 +112,7 @@ class _SpanOracle:
             # Each point of the span has exactly one canonical representative
             # row j + (a combination of the later rows): the later rows are 0
             # at and before pivot j.
-            later = [self.zero]
+            later = [(0,) * self.dim]
             for j in range(len(rows) - 1, -1, -1):
                 row = rows[j]
                 for w in later:
@@ -130,38 +125,38 @@ class _SpanOracle:
         return mask
 
     def in_position(self, xs, ys) -> bool:
-        """gp on canonical representatives: every x point is nonzero and
-        outside the span of every set of at most dim-1 points at the other
-        positions."""
-        if self.zero in xs:
+        """gp on point indices: every x point is nonzero and outside the span
+        of every set of at most dim-1 points at the other positions."""
+        if 0 in xs:
             return False
         if self.dim == 1 or not xs:
             return True
         distinct = set(xs)
         # A single point spans only itself, so this settles every set of one
-        # point, and with it dimension 2.
+        # point, and with it dimension 2 and words of at most two points.
         if len(distinct) < len(xs) or not distinct.isdisjoint(ys):
             return False
-        if self.dim == 2:
+        points = distinct.union(ys) - {0}
+        if self.dim == 2 or len(points) < 3:
             return True
-        points = list(distinct.union(ys) - {self.zero})
-        for size in range(2, min(self.dim - 1, len(points) - 1) + 1):
-            for subset in itertools.combinations(points, size):
-                outside = distinct.difference(subset)
+        # The row reduction needs vectors: one per distinct point.
+        vectors = {q: self.point(q) for q in points}
+        xv = {vectors[q] for q in distinct}
+        for size in range(2, min(self.dim - 1, len(vectors) - 1) + 1):
+            for subset in itertools.combinations(vectors.values(), size):
+                outside = xv.difference(subset)
                 if not outside:
                     continue
                 basis = self.basis(subset)
                 # A dependent set spans what a smaller one does, checked already.
-                if len(basis) == size and any(
-                    not any(self._reduce(basis, v)) for v in outside
-                ):
+                if len(basis) == size and any(not any(self._reduce(basis, v)) for v in outside):
                     return False
         return True
 
-    def blocks(self, reps) -> bool:
-        """True when the spans of at most dim-1 points of the word cover
-        every point, so no vector is in general position to it."""
-        points = sorted({self.index(v) for v in reps} - {0})
+    def blocks(self, points) -> bool:
+        """True when the spans of at most dim-1 of the given points cover
+        every point, so no vector is in general position to them."""
+        points = sorted(set(points) - {0})
         full = (1 << (self.size + 1)) - 2
         covered = 0
         for size in range(1, min(self.dim - 1, len(points)) + 1):
@@ -189,8 +184,8 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
     if any(len(v) != dim for v in entries):
         raise InvalidInput("vector entries have mismatched dimensions", dim=dim)
     oracle = _SpanOracle(p, dim)
-    reps = [oracle.canonical([a % p for a in v]) for v in entries]
-    return oracle.in_position(reps[: len(x)], reps[len(x) :])
+    points = [oracle.index([a % p for a in v]) for v in entries]
+    return oracle.in_position(points[: len(x)], points[len(x) :])
 
 
 class GeneralPositionRelation(ABC):
@@ -248,9 +243,9 @@ class InjectiveRelation(GeneralPositionRelation):
 class VectorRelation(GeneralPositionRelation):
     """Vectors over F_p^dim in general position, decided on projective points.
 
-    The relation only depends on entries up to nonzero scaling.  A symbol is
-    validated against the alphabet on its first lookup and replaced by the
-    canonical representative of its projective point, which is memoised.
+    The relation only depends on entries up to nonzero scaling, so inside it
+    a symbol is the index of its projective point.  A symbol is validated
+    against the alphabet on its first lookup and its index is memoised.
     gp(x; y) holds iff the x points are nonzero, pairwise distinct and absent
     from y (which settles spans of one point, and all of dimension 2), and no
     x point reduces to zero against the row echelon basis of a set of
@@ -267,23 +262,23 @@ class VectorRelation(GeneralPositionRelation):
         self.dim = dim
         self.name = "vec"
         self._oracle = _SpanOracle(p, dim)
-        self._reps: dict[tuple, Word] = {}
+        self._indices: dict[tuple, int] = {}
 
-    def _canonical(self, v) -> Word:
+    def _index(self, v) -> int:
         key = tuple(v)
         # Only a tuple of exact ints may hit the memo: (1.0, 0) equals (1, 0)
         # but is not a symbol, so it goes through check_symbol like any other.
         if all(type(a) is int for a in key):
-            rep = self._reps.get(key)
-            if rep is not None:
-                return rep
-        rep = self._reps[key] = self._oracle.canonical(self.alphabet.check_symbol(key))
-        return rep
+            q = self._indices.get(key)
+            if q is not None:
+                return q
+        q = self._indices[key] = self._oracle.index(self.alphabet.check_symbol(key))
+        return q
 
     def gp(self, x, y) -> bool:
-        xs = [self._canonical(v) for v in x]
-        ys = [self._canonical(v) for v in y]
-        return self._oracle.in_position(xs, ys)
+        return self._oracle.in_position(
+            [self._index(v) for v in x], [self._index(v) for v in y]
+        )
 
     def projective_points(self) -> list:
         """Canonical representatives of every projective point, sorted."""
@@ -293,7 +288,7 @@ class VectorRelation(GeneralPositionRelation):
         return self.projective_points()
 
     def is_blocking(self, word) -> bool:
-        return self._oracle.blocks([self._canonical(v) for v in word])
+        return self._oracle.blocks([self._index(v) for v in word])
 
 
 # -- axiom checking ----------------------------------------------------------

@@ -320,22 +320,23 @@ class NakaokaReport:
 def nakaoka_table(
     n: int,
     max_degree: int,
-    normalized: bool = True,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> list[NakaokaReport]:
     """Compare H_m(S_{n-1}) with H_m(S_n) for m = 0..max_degree.
 
-    Row m reports degree m and whether m < n/2; both bar complexes are built
-    once and shared by all degrees.
+    Row m reports degree m and whether m < n/2; both normalized bar complexes
+    are built once and shared by all degrees.
     """
     if n < 2:
         raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
     if max_degree < 0:
         raise InvalidInput("need max_degree >= 0", max_degree=max_degree)
     # S_n has the larger bar complex: its caps are checked before anything is built.
-    _check_generators(_symmetric_order(n), max_degree + 1, normalized, max_generators)
+    _check_generators(_symmetric_order(n), max_degree + 1, True, max_generators)
     small, large = (
-        build_bar_complex(PermutationGroup.symmetric(k), max_degree + 1, normalized, max_generators)
+        build_bar_complex(
+            PermutationGroup.symmetric(k), max_degree + 1, max_generators=max_generators
+        )
         for k in (n - 1, n)
     )
     degrees = range(max_degree + 1)

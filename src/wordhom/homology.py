@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import InvalidInput, TruncationError
-from .linalg import SparseIntMatrix, smith_normal_form
+from .linalg import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,12 @@ def homology_table(complex_rep, degrees=None) -> dict[int, HomologyGroup]:
                 degree=k,
                 top_degree=top,
             )
-    # Above the top of a complete complex every group is zero and needs no SNF.
-    live = [k for k in degrees if k <= top]
-    snf = {}
-    for k in sorted(set(live) | {k + 1 for k in live}):
-        if 1 <= k <= top:
-            matrix = complex_rep.boundary_matrix(k)
-        else:
-            # d_0 and d_{top+1} are zero maps.
-            matrix = SparseIntMatrix.zero(complex_rep.dim(k - 1), complex_rep.dim(k))
-        snf[k] = smith_normal_form(matrix)
+    # d_0 and d_{top+1} are zero maps, with no invariant factors, so only
+    # d_1..d_top need an SNF.
+    snf = {
+        k: smith_normal_form(complex_rep.boundary_matrix(k))
+        for k in sorted({j for k in degrees for j in (k, k + 1) if 1 <= j <= top})
+    }
     return {
         k: HomologyGroup(
             complex_rep.dim(k) - len(snf.get(k, ())) - len(snf.get(k + 1, ())),

@@ -14,6 +14,7 @@ from wordhom import (
     gp_order,
     gp_vec,
 )
+from wordhom.genpos import _SpanOracle
 
 
 class SetDisjointOnly(GeneralPositionRelation):
@@ -196,6 +197,23 @@ def test_is_blocking_matches_brute_force(p, dim):
         assert R.is_blocking(word) == expected, word
     if dim > 1:
         assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,dim", [(2, 3), (3, 2), (5, 2), (3, 3), (13, 2)])
+def test_span_oracle_index_names_projective_points(p, dim):
+    oracle = _SpanOracle(p, dim)
+    points = [oracle.point(q) for q in range(1, oracle.size + 1)]
+    assert points == sorted(points)
+    assert [oracle.index(v) for v in points] == list(range(1, oracle.size + 1))
+    for v in itertools.product(range(p), repeat=dim):
+        q = oracle.index(v)
+        if not any(v):
+            assert q == 0
+            continue
+        assert all(oracle.index([lam * a % p for a in v]) == q for lam in range(1, p)), v
+        rep = oracle.point(q)
+        assert next(a for a in rep if a) == 1
+        assert any(tuple(lam * a % p for a in v) == rep for lam in range(1, p)), (v, rep)
 
 
 def test_vector_relation_validates_memoised_symbols():
