@@ -41,6 +41,7 @@ from .grouphom import (
     abelianization,
     bar_boundary,
     build_bar_complex,
+    collapsed_bar_complex,
     group_homology,
     nakaoka_table,
     sym_homology,
@@ -82,6 +83,7 @@ __all__ = [
     "build_gp",
     "build_injective",
     "check_axioms",
+    "collapsed_bar_complex",
     "derangement_count",
     "fill_absent",
     "fill_gp",

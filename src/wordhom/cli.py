@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-generators",
         type=_positive_int,
         default=DEFAULT_MAX_GENERATORS,
-        help="bar-complex generator budget",
+        help="budget of critical cells per degree of each group's Morse complex",
     )
     _add_common(nak, "text")
     nak.set_defaults(handler=_cmd_nakaoka)

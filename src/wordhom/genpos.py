@@ -43,8 +43,9 @@ class _SpanOracle:
     costs O(k * dim) per set of k points and tested point, whatever p is.
     ``span_mask`` lists the points of a span from the same basis as an
     integer whose bit q is set iff point q lies in the span; that costs one
-    step per point of the span, so the masks are cached.  Nothing is
-    precomputed: F_13^6 has 4.8 million vectors.
+    step per point of the span, so the masks are cached, as are the points
+    ``point`` has built.  Nothing is precomputed: F_13^6 has 4.8 million
+    vectors.
     """
 
     def __init__(self, p: int, dim: int):
@@ -54,6 +55,7 @@ class _SpanOracle:
         self._offsets = [sum(p**e for e in range(dim - 1 - j)) for j in range(dim)]
         self.size = sum(p**e for e in range(dim))
         self._spans: dict[tuple, int] = {}
+        self._points: dict[int, Word] = {}
 
     def index(self, v) -> int:
         """Index of the point of a vector of residues mod p (0 if zero)."""
@@ -68,16 +70,19 @@ class _SpanOracle:
         return 0
 
     def point(self, q: int) -> Word:
-        """Canonical representative of the nonzero point with index q."""
-        j = 0
-        while q <= self._offsets[j]:
-            j += 1
-        tail = q - 1 - self._offsets[j]
-        v = [0] * self.dim
-        v[j] = 1
-        for i in range(self.dim - 1, j, -1):
-            tail, v[i] = divmod(tail, self.p)
-        return tuple(v)
+        """Canonical representative of the nonzero point with index q, memoised."""
+        v = self._points.get(q)
+        if v is None:
+            j = 0
+            while q <= self._offsets[j]:
+                j += 1
+            tail = q - 1 - self._offsets[j]
+            digits = [0] * self.dim
+            digits[j] = 1
+            for i in range(self.dim - 1, j, -1):
+                tail, digits[i] = divmod(tail, self.p)
+            v = self._points[q] = tuple(digits)
+        return v
 
     def _reduce(self, basis, v):
         p = self.p

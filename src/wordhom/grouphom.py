@@ -2,9 +2,18 @@
 
 The (normalized) bar complex of a finite group G has (|G|-1)^k generators in
 degree k, tuples of non-identity elements; the usual alternating face sum is
-the differential, with faces that merge to the identity dropped.  The bar
-complex is a ChainComplexRep without bases, so its integral homology comes
-out of homology_table like that of any word complex.  The
+the differential, with faces that merge to the identity dropped.
+``group_homology``, ``sym_homology`` and ``nakaoka_table`` never build it:
+Brown's collapsing scheme (Brown 1992, "The geometry of rewriting systems")
+matches its cells through shortlex normal forms in a generating set, and
+``morse.morse_complex`` reduces it to the critical cells, Anick's chains:
+S_5 keeps 1, 4, 13, 45 cells in degrees 0..3, where the bar complex has
+1, 119, 14161, 1685159.  S_n is generated by its Coxeter generators
+s_1..s_{n-1}, any other group by a greedy set.  ``max_generators`` caps the
+critical cells per degree, and every degree's count is checked before any
+cell is built.  ``build_bar_complex`` and ``bar_boundary`` stay as the test
+oracle.  Either complex is a ChainComplexRep without bases, so its integral
+homology comes out of homology_table like that of any word complex.  The
 abelianization is computed independently, by enumerating the commutator
 subgroup, and serves as a cross-check on degree-one homology.
 """
@@ -13,12 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .complexes import ChainComplexRep
 from .errors import InvalidInput, ResourceLimit
 from .homology import HomologyGroup, homology_table
 from .linalg import SparseIntMatrix, smith_normal_form
+from .morse import COLLAPSIBLE, CRITICAL, REDUNDANT, morse_complex
 
 DEFAULT_MAX_GENERATORS = 20_000
 MAX_GROUP_ORDER = 5040
@@ -42,6 +53,13 @@ def _symmetric_order(n: int) -> int:
     return order
 
 
+def _check_budget(max_generators: int) -> None:
+    if max_generators < 1:
+        raise InvalidInput(
+            "the generator budget must be at least 1", max_generators=max_generators
+        )
+
+
 def _check_generators(order: int, k: int, normalized: bool, max_generators: int) -> int:
     """The bar width, once degrees 0..k (at most width**k generators) fit the cap.
 
@@ -49,10 +67,7 @@ def _check_generators(order: int, k: int, normalized: bool, max_generators: int)
     (width.bit_length() - 1) * k, a lower bound on its log2, exceeds the cap's.
     A cap below 1 is invalid input.
     """
-    if max_generators < 1:
-        raise InvalidInput(
-            "the generator budget must be at least 1", max_generators=max_generators
-        )
+    _check_budget(max_generators)
     width = order - 1 if normalized else order
     past_cap = (width.bit_length() - 1) * k > max_generators.bit_length()
     if past_cap or max(1, width**k) > max_generators:
@@ -204,27 +219,234 @@ def build_bar_complex(
     )
 
 
+def _shortlex(identity: tuple, generators) -> tuple[list, list]:
+    """Every element the generators reach, with its shortlex-least word.
+
+    A breadth-first search from the identity in generator order meets each
+    element first through its shortlex-least word, so element i (the i-th
+    met, the identity being 0) has normal form ``words[i]`` and the indices
+    follow the shortlex order of the normal forms.
+    """
+    elements, words = [identity], [()]
+    found = {identity}
+    for x, word in zip(elements, words):
+        for s, g in enumerate(generators):
+            y = tuple(x[j] for j in g)  # x * g
+            if y not in found:
+                found.add(y)
+                elements.append(y)
+                words.append(word + (s,))
+    return elements, words
+
+
+class _CollapsingScheme:
+    """Brown's collapsing scheme on the normalized bar complex of a permutation group.
+
+    Cells are bar cells [x_1|…|x_k], tuples of non-identity element indices
+    (see ``_shortlex``).  Let j be the length of the longest essential
+    prefix: x_1 is one generator, and each nf(x_{i-1})·nf(x_i) is reducible
+    while nf(x_{i-1})·u is normal for every proper prefix u of nf(x_i).  Then
+    the cell is
+
+      - critical when j = k;
+      - redundant when j = 0, with partner [s|x_1'|x_2|…], where nf(x_1) = s·nf(x_1');
+      - collapsible when nf(x_j)·nf(x_{j+1}) is normal;
+      - otherwise redundant, with x_{j+1} split at the shortest prefix u
+        of its normal form that makes nf(x_j)·u reducible.
+
+    The critical cells are Anick's chains (Brown 1992; Sköldberg 2006;
+    Jöllenbeck–Welker 2009).  Products for boundary faces are composed on the
+    permutations and memoised per pair; no multiplication table is built.
+    """
+
+    def __init__(self, degree: int, generators, name: str):
+        self.rank = len(generators)
+        self.elements, self.words = _shortlex(tuple(range(degree)), generators)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.normal = {w: i for i, w in enumerate(self.words)}
+        self.name = name
+        self._products: dict = {}
+        self._cuts: dict = {}
+        self._successors: dict = {}
+
+    def product(self, x: int, y: int) -> int:
+        z = self._products.get((x, y))
+        if z is None:
+            a = self.elements[x]
+            z = self._products[x, y] = self.index[tuple(a[j] for j in self.elements[y])]
+        return z
+
+    def boundary(self, cell) -> dict:
+        """The normalized bar boundary [x_2|…] + Σ (−1)^i […|x_i·x_{i+1}|…]
+        + (−1)^k [x_1|…|x_{k−1}]; faces that merge to the identity drop out."""
+        k = len(cell)
+        terms: dict = {}
+        sign = 1
+        for i in range(k + 1):
+            if i == 0:
+                face = cell[1:]
+            elif i == k:
+                face = cell[:-1]
+            else:
+                z = self.product(cell[i - 1], cell[i])
+                face = cell[: i - 1] + (z,) + cell[i + 1 :] if z else None
+            if face is not None:
+                c = terms.get(face, 0) + sign
+                if c:
+                    terms[face] = c
+                else:
+                    del terms[face]
+            sign = -sign
+        return terms
+
+    def _cut(self, x: int, y: int) -> int:
+        """Length of the shortest prefix u of nf(y) with nf(x)·u reducible,
+        or 0 when nf(x)·nf(y) is normal."""
+        cut = self._cuts.get((x, y))
+        if cut is None:
+            left, right = self.words[x], self.words[y]
+            reducible = (i for i in range(1, len(right) + 1) if left + right[:i] not in self.normal)
+            cut = self._cuts[x, y] = next(reducible, 0)
+        return cut
+
+    def classify(self, cell):
+        """The collapsing scheme's class of a cell, as ``morse_complex`` reads it."""
+        if not cell:
+            return CRITICAL, None
+        words, normal = self.words, self.normal
+        first = words[cell[0]]
+        if len(first) > 1:
+            return REDUNDANT, (normal[first[:1]], normal[first[1:]]) + cell[1:]
+        for j in range(1, len(cell)):
+            cut = self._cut(cell[j - 1], cell[j])
+            right = words[cell[j]]
+            if not cut:
+                return COLLAPSIBLE, None
+            if cut < len(right):
+                split = (normal[right[:cut]], normal[right[cut:]])
+                return REDUNDANT, cell[:j] + split + cell[j + 1 :]
+        return CRITICAL, None
+
+    def successors(self, x: int) -> list:
+        """The y that make [x|y] essential, in index order.
+
+        nf(y) extends letter by letter while nf(x)·nf(y) stays normal; the
+        first letter that makes it reducible closes one successor.
+        """
+        found = self._successors.get(x)
+        if found is None:
+            left, normal = self.words[x], self.normal
+            found, stack = [], [()]
+            while stack:
+                u = stack.pop()
+                for s in range(self.rank):
+                    v = u + (s,)
+                    y = normal.get(v)
+                    if y is None:  # v is not normal, so neither is any word through it
+                        continue
+                    if left + v in normal:
+                        stack.append(v)
+                    else:
+                        found.append(y)
+            found = self._successors[x] = sorted(found)
+        return found
+
+    def critical_cells(self, top: int, max_generators: int) -> list[list[tuple]]:
+        """The critical cells of degrees 0..top, each degree in lexicographic order.
+
+        Degree k+1 extends each critical cell of degree k by the successors
+        of its last entry, so how many cells end in each element gives every
+        degree's count before any cell is built.  A count over the budget (or
+        over what a list can hold) raises ResourceLimit with its degree.
+        """
+        _check_budget(max_generators)
+        limit = min(max_generators, sys.maxsize)
+        letters = [self.normal[(s,)] for s in range(self.rank)]
+        ends = dict.fromkeys(letters, 1)  # last entry -> cells of degree k ending in it
+        for k in range(1, top + 1):
+            if sum(ends.values()) > limit:
+                raise ResourceLimit("critical cell count over the cap", degree=k, limit=limit)
+            if k == top:
+                break
+            grown: dict = {}
+            for x, count in ends.items():
+                for y in self.successors(x):
+                    grown[y] = grown.get(y, 0) + count
+            ends = grown
+        levels = [[()], [(x,) for x in letters]][: top + 1]
+        while len(levels) <= top:
+            levels.append([cell + (y,) for cell in levels[-1] for y in self.successors(cell[-1])])
+        return levels
+
+    def complex(self, top: int, max_generators: int) -> ChainComplexRep:
+        """The Morse complex through degree top, truncated there."""
+        if top < 0:
+            raise InvalidInput("need max_degree >= 0", max_degree=top)
+        return morse_complex(
+            self.critical_cells(top, max_generators),
+            self.classify,
+            self.boundary,
+            complete=False,
+            description={"complex": "bar-morse", "group": self.name},
+        )
+
+
+def _greedy_generators(group: PermutationGroup) -> list:
+    """The elements in index order, each kept if those kept before do not generate it."""
+    generators: list = []
+    reached = {group.elements[0]}
+    for g in group.elements:
+        if g not in reached:
+            generators.append(g)
+            reached = set(_shortlex(group.elements[0], generators)[0])
+    return generators
+
+
+def _symmetric_scheme(n: int) -> _CollapsingScheme:
+    """S_n on its Coxeter generators s_1..s_{n-1}; no group table is built."""
+    _symmetric_order(n)
+    coxeter = []
+    for i in range(n - 1):
+        s = list(range(n))
+        s[i], s[i + 1] = i + 1, i
+        coxeter.append(tuple(s))
+    return _CollapsingScheme(n, coxeter, f"S_{n}")
+
+
+def collapsed_bar_complex(
+    group: PermutationGroup,
+    max_degree: int,
+    max_generators: int = DEFAULT_MAX_GENERATORS,
+) -> ChainComplexRep:
+    """The bar complex reduced by Brown's collapsing scheme, truncated at max_degree.
+
+    The group's generating set is greedy (``_greedy_generators``), and
+    max_generators caps the critical cells of each degree.
+    """
+    scheme = _CollapsingScheme(group.degree, _greedy_generators(group), group.name)
+    return scheme.complex(max_degree, max_generators)
+
+
 def group_homology(
     group: PermutationGroup,
     m: int,
-    normalized: bool = True,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> HomologyGroup:
-    """H_m of the group with integer coefficients, from the bar complex."""
+    """H_m of the group with integer coefficients, from the collapsing scheme."""
     if m < 0:
         raise InvalidInput("need m >= 0", m=m)
-    bar = build_bar_complex(group, m + 1, normalized, max_generators)
-    return homology_table(bar, [m])[m]
+    return homology_table(collapsed_bar_complex(group, m + 1, max_generators), [m])[m]
 
 
 def sym_homology(
     n: int,
     m: int,
-    normalized: bool = True,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> HomologyGroup:
-    """H_m of the symmetric group on n letters."""
-    return group_homology(PermutationGroup.symmetric(n), m, normalized, max_generators)
+    """H_m of the symmetric group on n letters, on its Coxeter generators."""
+    if m < 0:
+        raise InvalidInput("need m >= 0", m=m)
+    return homology_table(_symmetric_scheme(n).complex(m + 1, max_generators), [m])[m]
 
 
 def abelianization(group: PermutationGroup) -> HomologyGroup:
@@ -324,20 +546,17 @@ def nakaoka_table(
 ) -> list[NakaokaReport]:
     """Compare H_m(S_{n-1}) with H_m(S_n) for m = 0..max_degree.
 
-    Row m reports degree m and whether m < n/2; both normalized bar complexes
-    are built once and shared by all degrees.
+    Row m reports degree m and whether m < n/2; each group's Morse complex
+    (``_symmetric_scheme``) is built once and shared by all degrees.
     """
     if n < 2:
         raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
     if max_degree < 0:
         raise InvalidInput("need max_degree >= 0", max_degree=max_degree)
-    # S_n has the larger bar complex: its caps are checked before anything is built.
-    _check_generators(_symmetric_order(n), max_degree + 1, True, max_generators)
-    small, large = (
-        build_bar_complex(
-            PermutationGroup.symmetric(k), max_degree + 1, max_generators=max_generators
-        )
-        for k in (n - 1, n)
+    # S_n has the more critical cells, so its budget is checked first, before
+    # anything is reduced.
+    large, small = (
+        _symmetric_scheme(k).complex(max_degree + 1, max_generators) for k in (n, n - 1)
     )
     degrees = range(max_degree + 1)
     lhs = homology_table(small, degrees)

@@ -20,12 +20,13 @@ computed means the matching has a cycle, and that, an incidence other than
 ±1, or a classifier that contradicts itself raises InternalInvariantBroken.
 
 ``injective_morse_complex`` applies the kernel to the paper's cone w ↔ a·w
-on injective words.
+on injective words, and ``grouphom`` to Brown's collapsing scheme on the bar
+complex of a group.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .chains import add_boundary, add_terms
 from .complexes import ChainComplexRep
@@ -41,14 +42,15 @@ REDUNDANT = "redundant"
 MAX_INJECTIVE_MORSE_M = 9
 
 
-def morse_complex(critical, classify, boundary, description=None) -> ChainComplexRep:
+def morse_complex(critical, classify, boundary, *, complete, description=None) -> ChainComplexRep:
     """The Morse complex of an acyclic matching, as a complex without bases.
 
     ``critical[k]`` lists the critical cells of degree k, in basis order.
     ``classify(cell)`` returns ``(REDUNDANT, partner)``, ``(COLLAPSIBLE,
     None)`` or ``(CRITICAL, None)``, and ``boundary(cell)`` returns a
     ``{face: coeff}`` dict.  Cells of different degrees must differ, as words
-    of different lengths do.  Only the cells reached from the critical ones
+    of different lengths do.  ``complete`` says whether the complex ends at
+    the last degree listed or is truncated there (see ``ChainComplexRep``).  Only the cells reached from the critical ones
     are classified, each once, or expanded.
     """
     images: dict = {}
@@ -125,7 +127,7 @@ def morse_complex(critical, classify, boundary, description=None) -> ChainComple
     return ChainComplexRep(
         dims=tuple(len(level) for level in critical),
         boundaries=tuple(matrices),
-        complete=True,
+        complete=complete,
         description=description,
     )
 
@@ -154,6 +156,25 @@ def injective_classify(word):
     return CRITICAL, None
 
 
+def injective_critical_words(m: int, k: int) -> list:
+    """The critical words of length k on 1..m, in lexicographic order.
+
+    These are the injective words that hold every letter below w[0] and have
+    w[0] > w[1] (see ``injective_classify``).  With w[0] = f, the rest is an
+    ordering of 1..f−1 and k−f letters above f that starts below f; each
+    first letter's words are sorted, so the list is lexicographic.
+    """
+    words: list = []
+    for first in range(2, min(k, m) + 1):
+        words += sorted(
+            (first,) + rest
+            for extra in combinations(range(first + 1, m + 1), k - first)
+            for rest in permutations((*range(1, first), *extra))
+            if rest[0] < first
+        )
+    return words
+
+
 def word_boundary(word) -> dict:
     """The boundary of one word, as the fillers and Chain compute it."""
     terms: dict = {}
@@ -171,14 +192,10 @@ def injective_morse_complex(m: int) -> ChainComplexRep:
         raise InvalidInput(
             f"the injective Morse complex is supported for 1 <= m <= {MAX_INJECTIVE_MORSE_M}", m=m
         )
-    letters = range(1, m + 1)
-    critical = [
-        [w for w in permutations(letters, k) if injective_classify(w)[0] == CRITICAL]
-        for k in range(m + 1)
-    ]
     return morse_complex(
-        critical,
+        [injective_critical_words(m, k) for k in range(m + 1)],
         injective_classify,
         word_boundary,
+        complete=True,
         description={"complex": "injective-morse", "m": m},
     )

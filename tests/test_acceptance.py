@@ -24,8 +24,10 @@ from wordhom import (
     Chain,
     HomologyGroup,
     InjectiveRelation,
+    PermutationGroup,
     SparseIntMatrix,
     VectorRelation,
+    build_bar_complex,
     build_full,
     build_gp,
     build_injective,
@@ -204,10 +206,18 @@ def test_criterion_symmetric_group_stability():
     h2 = sym_homology(4, 2)
     assert h2 == z2, f"H_2 of S_4 came out as {h2}"
 
-    for m in (0, 1, 2):
-        normalized = sym_homology(3, m, normalized=True)
-        unnormalized = sym_homology(3, m, normalized=False)
+    # The normalized and unnormalized bar complexes against each other and
+    # against the collapsing scheme behind sym_homology.
+    degrees = (0, 1, 2)
+    group = PermutationGroup.symmetric(3)
+    tables = [
+        homology_table(build_bar_complex(group, 3, normalized=flag), degrees)
+        for flag in (True, False)
+    ]
+    for m in degrees:
+        normalized, unnormalized = (table[m] for table in tables)
         assert normalized == unnormalized, (m, normalized, unnormalized)
+        assert normalized == sym_homology(3, m), (m, normalized)
 
 
 @criterion("property suite: d^2, Leibniz, normal form, builder agreement", 300)

@@ -232,9 +232,18 @@ def test_nakaoka_table_text(capture):
 
 
 def test_nakaoka_resource_limit(capture):
-    code, out = capture("nakaoka", "--n", "5", "--max-degree", "2")
+    # S_5 has 45 critical cells in degree 3, which H_2 needs.
+    code, out = capture("nakaoka", "--n", "5", "--max-degree", "2", "--max-generators", "44")
     assert code == 3
     assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
+def test_nakaoka_second_homology_in_range(capture):
+    code, out = capture("nakaoka", "--n", "5", "--max-degree", "2", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][2]
+    assert row["m"] == 2 and row["in_range"] and row["equal"]
+    assert row["rhs"] == {"free_rank": 0, "torsion": [2]}
 
 
 def test_derangements(capture):
@@ -355,7 +364,7 @@ def test_homology_gp_claim_covers_only_computed_degrees(capture):
 
 
 def test_time_budget_exits_resource_limit(capture):
-    code, out = capture("nakaoka", "--n", "4", "--max-degree", "2", "--time-budget", "0.2")
+    code, out = capture("homology", "inj", "--m", "8", "--time-budget", "0.2")
     assert code == 3
     assert json.loads(out)["error"]["code"] == "resource-limit"
 
@@ -488,9 +497,9 @@ def test_counts_past_the_digit_limit_are_a_resource_limit(capture, argv):
 
 def test_nakaoka_checks_both_caps_before_building(capture, monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("a bar complex was built")
+        raise AssertionError("a Morse complex was built")
 
-    monkeypatch.setattr("wordhom.grouphom.bar_boundary", no_build)
+    monkeypatch.setattr("wordhom.grouphom.morse_complex", no_build)
     code, out = capture("nakaoka", "--n", "3", "--max-degree", "2000")
     assert code == 3
     _assert_error_json(out, "resource-limit")

@@ -7,10 +7,13 @@ from wordhom import (
     InvalidInput,
     PermutationGroup,
     ResourceLimit,
+    TruncationError,
     abelianization,
     bar_boundary,
     build_bar_complex,
+    collapsed_bar_complex,
     group_homology,
+    homology_table,
     nakaoka_table,
     sym_homology,
 )
@@ -128,11 +131,16 @@ def test_first_homology_matches_abelianization():
 
 
 def test_normalized_and_unnormalized_agree():
+    degrees = (0, 1, 2)
     for n in (2, 3):
-        for m in (0, 1, 2):
-            a = sym_homology(n, m, normalized=True)
-            b = sym_homology(n, m, normalized=False)
-            assert a == b, (n, m)
+        group = PermutationGroup.symmetric(n)
+        a, b = (
+            homology_table(build_bar_complex(group, 3, normalized=flag), degrees)
+            for flag in (True, False)
+        )
+        for m in degrees:
+            assert a[m] == b[m], (n, m)
+            assert a[m] == sym_homology(n, m), (n, m)
 
 
 def test_nakaoka_check_in_range_cases():
@@ -180,3 +188,49 @@ def test_generator_cap_reports_the_degree_not_the_count():
     with pytest.raises(ResourceLimit) as info:
         bar_boundary(PermutationGroup.symmetric(4), 5000)
     assert info.value.context == {"degree": 5000, "limit": 20000}
+
+
+@pytest.mark.parametrize(
+    "group,top",
+    [(PermutationGroup.symmetric(2), 4), (PermutationGroup.symmetric(3), 4)]
+    + [(PermutationGroup.symmetric(4), 2), (PermutationGroup.symmetric(5), 1)]
+    + [(PermutationGroup.cyclic(k), 3) for k in range(2, 7)],
+    ids=lambda value: str(getattr(value, "name", value)),
+)
+def test_collapsing_scheme_agrees_with_the_bar_complex(group, top):
+    degrees = range(top + 1)
+    bar = homology_table(build_bar_complex(group, top + 1), degrees)
+    assert homology_table(collapsed_bar_complex(group, top + 1), degrees) == bar
+    if group.name.startswith("S_"):
+        n = group.degree
+        assert {m: sym_homology(n, m) for m in degrees} == bar
+
+
+def test_collapsing_scheme_critical_cells():
+    # Anick's chains on the Coxeter generators; a cyclic group has one per degree.
+    assert collapsed_bar_complex(PermutationGroup.symmetric(4), 3).dims == (1, 3, 7, 18)
+    assert collapsed_bar_complex(PermutationGroup.cyclic(5), 4).dims == (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_second_homology_of_symmetric_groups_is_the_schur_multiplier(n):
+    assert sym_homology(n, 2) == HomologyGroup(0, (2,))
+
+
+def test_collapsed_complex_is_truncated():
+    scheme = collapsed_bar_complex(PermutationGroup.symmetric(3), 3)
+    assert not scheme.complete and scheme.bases is None
+    assert scheme.description == {"complex": "bar-morse", "group": "S_3"}
+    assert homology_table(scheme)[2] == HomologyGroup(0)
+    with pytest.raises(TruncationError):
+        homology_table(scheme, [3])
+
+
+def test_collapsing_scheme_checks_the_critical_cells_per_degree():
+    # S_3 has 1 + 2^(k-1) critical cells in degree k >= 1: 9 in degree 4.
+    with pytest.raises(ResourceLimit) as info:
+        sym_homology(3, 3, max_generators=8)
+    assert info.value.context == {"degree": 4, "limit": 8}
+    assert sym_homology(3, 3, max_generators=9) == HomologyGroup(0, (6,))
+    with pytest.raises(InvalidInput):
+        sym_homology(3, 1, max_generators=0)

@@ -12,6 +12,8 @@ from wordhom.morse import (
     COLLAPSIBLE,
     CRITICAL,
     REDUNDANT,
+    injective_classify,
+    injective_critical_words,
     injective_morse_complex,
     morse_complex,
     word_boundary,
@@ -28,6 +30,15 @@ def test_critical_counts_are_falling_factorials(m):
     dims = injective_morse_complex(m).dims
     assert dims[:2] == (0, 0)
     assert list(dims[2:]) == [factorial(m) // factorial(m - k + 2) for k in range(2, m + 1)]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_critical_words_are_the_classified_ones(m):
+    for k in range(m + 1):
+        classified = [
+            w for w in permutations(range(1, m + 1), k) if injective_classify(w)[0] == CRITICAL
+        ]
+        assert injective_critical_words(m, k) == classified, k
 
 
 def test_library_cap():
@@ -65,7 +76,7 @@ def test_cyclic_matching_is_refused_not_recursed():
     critical, classify, partner = _letter_by_letter(3)
     assert partner[(2, 1)] == (3, 2, 1) and partner[(3, 1)] == (2, 3, 1)
     with pytest.raises(InternalInvariantBroken, match="cycle"):
-        morse_complex(critical, classify, word_boundary)
+        morse_complex(critical, classify, word_boundary, complete=True)
 
 
 def test_matched_incidence_other_than_a_unit_is_refused():
@@ -73,14 +84,14 @@ def test_matched_incidence_other_than_a_unit_is_refused():
     cells = {"v": (REDUNDANT, "e"), "e": (COLLAPSIBLE, None), "c": (CRITICAL, None)}
     faces = {"e": {"v": 2}, "c": {"v": 1}, "v": {}}
     with pytest.raises(InternalInvariantBroken, match="incidence"):
-        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__)
+        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
 
 
 def test_partner_that_is_not_collapsible_is_refused():
     cells = {"v": (REDUNDANT, "e"), "e": (CRITICAL, None), "c": (CRITICAL, None)}
     faces = {"e": {"v": 1}, "c": {"v": 1}}
     with pytest.raises(InternalInvariantBroken, match="partner"):
-        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__)
+        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
 
 
 def test_flows_deeper_than_the_recursion_limit():
@@ -103,7 +114,7 @@ def test_flows_deeper_than_the_recursion_limit():
             return {("v", n): 1, ("v", 0): -1}
         return {}
 
-    rep = morse_complex([[("v", 0)], [("c", 0)]], classify, boundary)
+    rep = morse_complex([[("v", 0)], [("c", 0)]], classify, boundary, complete=True)
     assert rep.dims == (1, 1)
     assert rep.boundary_matrix(1).is_zero()
     assert homology_table(rep) == {0: HomologyGroup(1), 1: HomologyGroup(1)}
