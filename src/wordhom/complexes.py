@@ -219,7 +219,12 @@ def build_gp(
 
     By weakening (axiom ii) every prefix of a word in general position to
     the base is in general position to it, so the complex is the prefix-closed
-    set that the one enumerator builds, with the rule gp(word + (s,); base).
+    set that the one enumerator builds, with the rule gp(word + (s,); base)
+    from ``relation.extension_rule``.  An abstract relation asks gp about the
+    whole word; the injective relation tests s against the word and the
+    base, and the vector relation tests one bit of the word's forbidden
+    mask, which it grows by the spans of each added point (the exchange
+    lemma; see ``VectorRelation``), so a vector build makes no gp call.
     In auto mode (max_degree None) levels are built until one is empty, which
     is how intrinsically bounded relations terminate; unbounded growth runs
     into the basis budget instead.  The base must itself be in general
@@ -228,10 +233,7 @@ def build_gp(
     alphabet = relation.alphabet
     base = relation.check_base(base)
     levels, complete = _enumerate(
-        alphabet.symbols(),
-        lambda word, s: relation.gp(word + (s,), base),
-        max_degree,
-        max_basis,
+        alphabet.symbols(), relation.extension_rule(base), max_degree, max_basis
     )
     descr = {
         "complex": "general-position",

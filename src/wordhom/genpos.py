@@ -10,6 +10,13 @@ words over one alphabet, subject to three axioms:
 An empty x block satisfies gp vacuously.  The axioms are testable obligations,
 exercised by randomized trials in ``check_axioms``, never assumed.
 
+A relation's ``extension_rule(base)`` decides gp(word + (s,); base) for a word
+already in general position to the base; ``build_gp`` and the axiom sampler
+use it.  By default it asks gp about the whole word.  The injective relation
+tests s against the word and the base.  The vector relation keeps each word's
+forbidden mask, the points in the span of at most dim-1 points of word.base,
+and tests one bit of it: by the exchange lemma nothing else can fail.
+
 The order of a relation is the least length of a word that no alphabet
 element is in general position to; ``gp_order`` searches for it exactly.
 """
@@ -44,8 +51,12 @@ class _SpanOracle:
     ``span_mask`` lists the points of a span from the same basis as an
     integer whose bit q is set iff point q lies in the span; that costs one
     step per point of the span, so the masks are cached, as are the points
-    ``point`` has built.  Nothing is precomputed: F_13^6 has 4.8 million
-    vectors.
+    ``point`` has built.  The forbidden mask of a set of points is the OR of
+    the span masks of its subsets of at most dim-1 points, bit 0 (the empty
+    span) included: a point is in general position to the set iff its bit
+    is clear.  ``extend`` grows it by one point, through the spans that
+    contain the new point only.  Nothing is precomputed: F_13^6 has 4.8
+    million vectors.
     """
 
     def __init__(self, p: int, dim: int):
@@ -158,18 +169,29 @@ class _SpanOracle:
                     return False
         return True
 
-    def blocks(self, points) -> bool:
-        """True when the spans of at most dim-1 of the given points cover
-        every point, so no vector is in general position to them."""
+    def extend(self, mask: int, points, q: int) -> int:
+        """Forbidden mask of the distinct nonzero points plus the nonzero
+        point q, from the mask of the points: q adds the spans of q with at
+        most dim-2 of them."""
+        for size in range(min(self.dim - 2, len(points)) + 1):
+            for subset in itertools.combinations(points, size):
+                mask |= self.span_mask(tuple(sorted(subset + (q,))))
+        return mask
+
+    def forbidden(self, points) -> int:
+        """Forbidden mask of the given points; zeros and repeats are dropped
+        first, as they change no span."""
         points = sorted(set(points) - {0})
-        full = (1 << (self.size + 1)) - 2
-        covered = 0
+        mask = 1
         for size in range(1, min(self.dim - 1, len(points)) + 1):
             for subset in itertools.combinations(points, size):
-                covered |= self.span_mask(subset)
-                if covered == full:
-                    return True
-        return False
+                mask |= self.span_mask(subset)
+        return mask
+
+    def blocks(self, points) -> bool:
+        """True when the forbidden mask of the points is every point, so no
+        vector is in general position to them."""
+        return self.forbidden(points) == (1 << (self.size + 1)) - 1
 
 
 def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
@@ -211,6 +233,18 @@ class GeneralPositionRelation(ABC):
     def extension_candidates(self) -> list:
         """Finite universe of elements relevant to extending or blocking words."""
 
+    def extension_rule(self, base):
+        """The rule admits(word, s) == gp(word + (s,); base), for a word in
+        general position to the base whose proper prefixes were all passed
+        to the rule before it, as ``complexes._enumerate`` passes them.
+
+        The word itself is empty when the rule decides gp((s,); base), which
+        holds for any base.  This default asks gp about the whole word,
+        because an abstract relation's axioms are never assumed; a subclass
+        may decide the same predicate from the word's new symbol alone.
+        """
+        return lambda word, s: self.gp(word + (s,), base)
+
     def is_blocking(self, word) -> bool:
         """True when no candidate element is in general position to the word."""
         return not any(self.gp((e,), tuple(word)) for e in self.extension_candidates())
@@ -241,6 +275,11 @@ class InjectiveRelation(GeneralPositionRelation):
     def gp(self, x, y) -> bool:
         return gp_inj(x, y)
 
+    def extension_rule(self, base):
+        """An injective word disjoint from the base stays so iff s is new."""
+        taken = set(base)
+        return lambda word, s: s not in word and s not in taken
+
     def extension_candidates(self) -> list:
         return self.alphabet.symbols()
 
@@ -254,9 +293,18 @@ class VectorRelation(GeneralPositionRelation):
     gp(x; y) holds iff the x points are nonzero, pairwise distinct and absent
     from y (which settles spans of one point, and all of dimension 2), and no
     x point reduces to zero against the row echelon basis of a set of
-    2..dim-1 points at the other positions.  A word blocks iff the union of
-    the cached span bitmasks of its sets of at most dim-1 points is every
-    point.  Candidate enumeration works over canonical representatives.
+    2..dim-1 points at the other positions.  A word blocks iff its
+    forbidden mask, the union of the cached span bitmasks of its sets of at
+    most dim-1 points, is every point.  Candidate enumeration works over
+    canonical representatives.
+
+    ``extension_rule`` decides each extension by one bit test.  Let w be in
+    general position to the base a.  Then gp(w.s; a) iff the point of s is
+    outside the forbidden mask of the points of w.a: by the exchange lemma
+    (van der Kallen 1980), if s makes an entry x of w.a dependent on a set
+    S of at most dim-2 other entries, x in span(S + s) but not in span(S),
+    then s lies in span(S + x).  So each word carries its mask, which its
+    extension by s grows through ``_SpanOracle.extend``.
     """
 
     set_blocking = True
@@ -284,6 +332,43 @@ class VectorRelation(GeneralPositionRelation):
         return self._oracle.in_position(
             [self._index(v) for v in x], [self._index(v) for v in y]
         )
+
+    def extension_rule(self, base):
+        """One bit test per symbol against the forbidden mask of word.base.
+
+        Masks are kept per word; the mask of a word is grown from its
+        parent's the first time the word is passed.  Symbol indices are
+        memoised per rule, so the rule takes alphabet symbols only.
+        """
+        oracle = self._oracle
+        indices: dict = {}
+
+        def index(v):
+            q = indices.get(v)
+            if q is None:
+                q = indices[v] = self._index(v)
+            return q
+
+        points = tuple({index(v) for v in base} - {0})
+        # word -> (forbidden mask of word.base, distinct points of word.base)
+        known = {(): (oracle.forbidden(points), points)}
+        last, mask = (), known[()][0]
+
+        def admits(word, s):
+            nonlocal last, mask
+            if word is not last:
+                entry = known.get(word)
+                if entry is None:
+                    parent_mask, parent_points = known[word[:-1]]
+                    q = index(word[-1])
+                    entry = known[word] = (
+                        oracle.extend(parent_mask, parent_points, q),
+                        parent_points + (q,),
+                    )
+                last, mask = word, entry[0]
+            return not mask >> index(s) & 1
+
+        return admits
 
     def projective_points(self) -> list:
         """Canonical representatives of every projective point, sorted."""
@@ -344,6 +429,10 @@ def biased_triple_sampler(relation: GeneralPositionRelation):
     combined word by greedy extension with elements already in general
     position, because uniformly random vector words are almost always
     degenerate and would never exercise the composition axiom's hypothesis.
+    Each greedy pool keeps the candidates e in their own order with
+    gp((e,); word), as the relation's ``extension_rule`` with the word so
+    far as its base decides it for the empty word: one bit test per
+    candidate for the vector relation, even for a degenerate word.
     """
     symbols = relation.alphabet.symbols()
     candidates = relation.extension_candidates()
@@ -354,7 +443,8 @@ def biased_triple_sampler(relation: GeneralPositionRelation):
         if rng.random() < 0.5:
             word: list = []
             for _ in range(total):
-                pool = [e for e in candidates if relation.gp((e,), tuple(word))]
+                admits = relation.extension_rule(tuple(word))
+                pool = [e for e in candidates if admits((), e)]
                 word.append(rng.choice(pool) if pool else rng.choice(symbols))
         else:
             word = [rng.choice(symbols) for _ in range(total)]

@@ -9,6 +9,7 @@ from wordhom import (
     InjectiveRelation,
     InvalidInput,
     VectorRelation,
+    build_gp,
     check_axioms,
     gp_inj,
     gp_order,
@@ -323,3 +324,83 @@ def test_default_sampler_biases_toward_general_position():
     R = VectorRelation(2, 3)
     report = check_axioms(R, trials=400, seed=0)
     assert report.hypothesis_hits["composition"] >= 40
+
+
+E1, E2 = (1, 0, 0), (0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "relation,base,max_degree",
+    [
+        (VectorRelation(2, 3), (), 3),
+        (VectorRelation(2, 3), (E1, E2), 3),
+        (VectorRelation(3, 3), (), 3),
+        (VectorRelation(3, 3), (E1, E2), 3),
+        (VectorRelation(5, 2), (), 3),
+        (VectorRelation(5, 2), ((2, 0),), 3),
+        (VectorRelation(5, 2), ((2, 0), (0, 3)), 3),
+        (VectorRelation(5, 2), ((2, 0), (0, 3), (4, 4)), 3),
+        (VectorRelation(2, 4), (), 3),
+        (VectorRelation(5, 1), ((3,),), 3),
+        (VectorRelation(7, 1), (), 3),
+        (InjectiveRelation(5), (2,), None),
+    ],
+)
+def test_extension_rule_equals_whole_word_gp(relation, base, max_degree):
+    # The words below max_degree come from whole-word gp alone; the rule is
+    # then asked about every word and symbol in the order the enumerator asks.
+    symbols = relation.alphabet.symbols()
+    levels = [[()]]
+    while len(levels) < (max_degree or len(symbols) + 1) and levels[-1]:
+        level = [w + (s,) for w in levels[-1] for s in symbols if relation.gp(w + (s,), base)]
+        levels.append(level)
+    admits = relation.extension_rule(base)
+    for level in levels:
+        for word in level:
+            for s in symbols:
+                assert admits(word, s) == relation.gp(word + (s,), base), (word, s)
+
+
+def test_build_gp_asks_gp_only_about_the_base(monkeypatch):
+    calls = []
+    gp = VectorRelation.gp
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return gp(self, x, y)
+
+    monkeypatch.setattr(VectorRelation, "gp", counting)
+    C = build_gp(VectorRelation(3, 3), max_degree=3)
+    assert C.dims == (1, 26, 624, 11232)
+    # check_base's one call on the base word; no word of the complex is asked.
+    assert calls == [((), ())]
+
+
+def test_forbidden_mask_is_the_union_of_small_spans():
+    oracle = _SpanOracle(3, 3)
+    points = [3, 3, 0, 7, 11]
+    want = 1
+    for size in (1, 2):
+        for subset in itertools.combinations(sorted({3, 7, 11}), size):
+            want |= oracle.span_mask(subset)
+    assert oracle.forbidden(points) == want
+    assert oracle.extend(oracle.forbidden([3, 11]), (3, 11), 7) == want
+    assert oracle.forbidden([]) == 1
+    assert _SpanOracle(5, 1).forbidden([1]) == 1
+
+
+def test_check_axioms_samples_are_pinned():
+    R = VectorRelation(5, 3)
+    assert check_axioms(R, 200, seed=0).to_json(R.alphabet) == {
+        "relation": "vec",
+        "trials": 200,
+        "seed": 0,
+        "passed": True,
+        "hypothesis_hits": {
+            "composition": 120,
+            "symmetry": 200,
+            "weaken-left": 120,
+            "weaken-right": 132,
+        },
+        "violations": [],
+    }
