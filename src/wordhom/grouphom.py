@@ -9,13 +9,16 @@ matches its cells through shortlex normal forms in a generating set, and
 ``morse.morse_complex`` reduces it to the critical cells, Anick's chains:
 S_5 keeps 1, 4, 13, 45 cells in degrees 0..3, where the bar complex has
 1, 119, 14161, 1685159.  S_n is generated by its Coxeter generators
-s_1..s_{n-1}, any other group by a greedy set.  ``max_generators`` caps the
-critical cells per degree, and every degree's count is checked before any
-cell is built.  ``build_bar_complex`` and ``bar_boundary`` stay as the test
-oracle.  Either complex is a ChainComplexRep without bases, so its integral
-homology comes out of homology_table like that of any word complex.  The
-abelianization is computed independently, by enumerating the commutator
-subgroup, and serves as a cross-check on degree-one homology.
+s_1..s_{n-1}, any other group by the greedy ``PermutationGroup.generators``.
+No group keeps a multiplication table: construction checks closure through
+the generators, and products are composed on demand.  ``max_generators``
+caps the critical cells per degree, and every degree's count is checked
+before any cell is built.  ``build_bar_complex`` and ``bar_boundary`` stay
+as the test oracle.  Either complex is a ChainComplexRep without bases, so
+its integral homology comes out of homology_table like that of any word
+complex.  The abelianization is computed independently, by enumerating the
+commutator subgroup in O(|G|^2) compositions, and serves only as a
+cross-check on degree-one homology.
 """
 
 from __future__ import annotations
@@ -78,14 +81,18 @@ def _check_generators(order: int, k: int, normalized: bool, max_generators: int)
 
 
 class PermutationGroup:
-    """Finite group of permutations with a precomputed multiplication table.
+    """Finite group of permutations: its elements and a greedy generating set.
 
     Elements are tuples mapping 0..degree-1 to images; composition is
     (s*t)(i) = s(t(i)).  The identity is element 0 and the remaining elements
-    are sorted.  Closure, identity and inverses are verified on construction.
+    are sorted.  ``generators`` keeps each element, in index order, unless the
+    ones kept before already reach it.  Their breadth-first search
+    (``_shortlex``) checks closure, stopping at the first product outside the
+    set, so closure costs O(|G|·|generators|) compositions.  There is no
+    multiplication table: ``mult`` composes on demand.
     """
 
-    __slots__ = ("degree", "elements", "index", "table", "inverse", "name")
+    __slots__ = ("degree", "elements", "index", "generators", "inverse", "name")
 
     def __init__(self, elements, name: str = "group"):
         elements = {tuple(e) for e in elements}
@@ -101,27 +108,18 @@ class PermutationGroup:
             if sorted(e) != list(range(degree)):
                 raise InvalidInput("not a permutation", element=e)
         index = {e: i for i, e in enumerate(ordered)}
-        table = []
-        for s in ordered:
-            row = []
-            for t in ordered:
-                product = tuple(s[t[i]] for i in range(degree))
-                k = index.get(product)
-                if k is None:
-                    raise InvalidInput("the element set is not closed under composition")
-                row.append(k)
-            table.append(tuple(row))
-        inverse = [None] * len(ordered)
-        for i, row in enumerate(table):
-            for j, k in enumerate(row):
-                if k == 0:
-                    inverse[i] = j
-        if any(v is None for v in inverse):
-            raise InvalidInput("some element has no inverse")
+        generators: list = []
+        reached = {identity}
+        for g in ordered:
+            if g not in reached:
+                generators.append(g)
+                reached = set(_shortlex(identity, generators, within=index)[0])
+        # The inverse of e lists 0..degree-1 in the order of their images.
+        inverse = [index[tuple(sorted(range(degree), key=e.__getitem__))] for e in ordered]
         self.degree = degree
         self.elements = tuple(ordered)
         self.index = index
-        self.table = tuple(table)
+        self.generators = tuple(generators)
         self.inverse = tuple(inverse)
         self.name = name
 
@@ -150,7 +148,9 @@ class PermutationGroup:
         return len(self.elements)
 
     def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        """The index of elements[i] * elements[j]."""
+        s, t = self.elements[i], self.elements[j]
+        return self.index[tuple(s[k] for k in t)]
 
     def __repr__(self):
         return f"PermutationGroup({self.name}, order={self.order})"
@@ -186,12 +186,12 @@ def bar_boundary(
         else:
             del entries[key]
 
-    mult = group.table
+    mult = group.mult
     for col, gens in enumerate(upper):
         add(gens[1:], col, 1)
         sign = -1
         for i in range(k - 1):
-            merged = gens[:i] + (mult[gens[i]][gens[i + 1]],) + gens[i + 2 :]
+            merged = gens[:i] + (mult(gens[i], gens[i + 1]),) + gens[i + 2 :]
             add(merged, col, sign)
             sign = -sign
         add(gens[:-1], col, sign)
@@ -219,13 +219,15 @@ def build_bar_complex(
     )
 
 
-def _shortlex(identity: tuple, generators) -> tuple[list, list]:
+def _shortlex(identity: tuple, generators, within=None) -> tuple[list, list]:
     """Every element the generators reach, with its shortlex-least word.
 
     A breadth-first search from the identity in generator order meets each
     element first through its shortlex-least word, so element i (the i-th
     met, the identity being 0) has normal form ``words[i]`` and the indices
-    follow the shortlex order of the normal forms.
+    follow the shortlex order of the normal forms.  Given ``within``, a newly
+    met element outside it raises InvalidInput, so the search stays inside
+    that set.
     """
     elements, words = [identity], [()]
     found = {identity}
@@ -233,6 +235,8 @@ def _shortlex(identity: tuple, generators) -> tuple[list, list]:
         for s, g in enumerate(generators):
             y = tuple(x[j] for j in g)  # x * g
             if y not in found:
+                if within is not None and y not in within:
+                    raise InvalidInput("the element set is not closed under composition")
                 found.add(y)
                 elements.append(y)
                 words.append(word + (s,))
@@ -391,17 +395,6 @@ class _CollapsingScheme:
         )
 
 
-def _greedy_generators(group: PermutationGroup) -> list:
-    """The elements in index order, each kept if those kept before do not generate it."""
-    generators: list = []
-    reached = {group.elements[0]}
-    for g in group.elements:
-        if g not in reached:
-            generators.append(g)
-            reached = set(_shortlex(group.elements[0], generators)[0])
-    return generators
-
-
 def _symmetric_scheme(n: int) -> _CollapsingScheme:
     """S_n on its Coxeter generators s_1..s_{n-1}; no group table is built."""
     _symmetric_order(n)
@@ -420,10 +413,10 @@ def collapsed_bar_complex(
 ) -> ChainComplexRep:
     """The bar complex reduced by Brown's collapsing scheme, truncated at max_degree.
 
-    The group's generating set is greedy (``_greedy_generators``), and
-    max_generators caps the critical cells of each degree.
+    Normal forms are shortlex words in the group's greedy ``generators``,
+    and max_generators caps the critical cells of each degree.
     """
-    scheme = _CollapsingScheme(group.degree, _greedy_generators(group), group.name)
+    scheme = _CollapsingScheme(group.degree, group.generators, group.name)
     return scheme.complex(max_degree, max_generators)
 
 
@@ -452,16 +445,17 @@ def sym_homology(
 def abelianization(group: PermutationGroup) -> HomologyGroup:
     """The quotient by the commutator subgroup, in invariant-factor form.
 
-    Computed by direct enumeration: close the set of commutators under
-    multiplication, form the coset multiplication table, and read off the
-    invariant factors of the resulting abelian group from the Smith normal
-    form of its table of relations.
+    Computed by direct enumeration, as a cross-check on degree-one homology:
+    close the set of commutators under multiplication, split the group into
+    cosets, and read off the invariant factors of the quotient from the Smith
+    normal form of its relations.  It makes O(|G|^2) compositions through
+    ``mult``, where the collapsing scheme makes O(|G|·|generators|).
     """
-    table = group.table
+    mult = group.mult
     inverse = group.inverse
     order = group.order
     commutators = {
-        table[table[a][b]][table[inverse[a]][inverse[b]]]
+        mult(mult(a, b), mult(inverse[a], inverse[b]))
         for a in range(order)
         for b in range(order)
     }
@@ -471,7 +465,7 @@ def abelianization(group: PermutationGroup) -> HomologyGroup:
         fresh = []
         for a in frontier:
             for b in list(subgroup):
-                for c in (table[a][b], table[b][a]):
+                for c in (mult(a, b), mult(b, a)):
                     if c not in subgroup:
                         subgroup.add(c)
                         fresh.append(c)
@@ -483,7 +477,7 @@ def abelianization(group: PermutationGroup) -> HomologyGroup:
     for g in range(order):
         if g in coset_of:
             continue
-        members = sorted(table[g][h] for h in subgroup)
+        members = sorted(mult(g, h) for h in subgroup)
         rep = len(reps)
         reps.append(members[0])
         for x in members:
@@ -496,7 +490,7 @@ def abelianization(group: PermutationGroup) -> HomologyGroup:
     col = 0
     for i in range(t):
         for j in range(t):
-            k = coset_of[table[reps[i]][reps[j]]]
+            k = coset_of[mult(reps[i], reps[j])]
             for row, delta in ((i, 1), (j, 1), (k, -1)):
                 key = (row, col)
                 val = entries.get(key, 0) + delta

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -53,6 +55,63 @@ def test_group_order_cap_checked_before_enumerating(monkeypatch):
 def test_non_closed_set_rejected():
     with pytest.raises(InvalidInput):
         PermutationGroup([(0, 1, 2), (1, 0, 2)][:1] + [(1, 2, 0)][:1] + [(0, 2, 1)])
+
+
+def test_closure_check_stays_inside_the_element_set():
+    # A 12-cycle and a transposition generate S_12 (479001600 elements); the
+    # check rejects the set at its first product outside it.
+    n = 12
+    cycle = tuple((i + 1) % n for i in range(n))
+    swap = (1, 0) + tuple(range(2, n))
+    with pytest.raises(InvalidInput):
+        PermutationGroup([tuple(range(n)), cycle, swap])
+
+
+def test_group_keeps_no_multiplication_table():
+    G = PermutationGroup.symmetric(4)
+    assert not hasattr(G, "table")
+    assert G.generators == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
+
+
+def general_linear(p):
+    """GL_2(F_p) acting on the p^2 - 1 nonzero vectors of F_p^2."""
+    vectors = [v for v in itertools.product(range(p), repeat=2) if any(v)]
+    index = {v: i for i, v in enumerate(vectors)}
+    return PermutationGroup(
+        (
+            tuple(index[(a * x + b * y) % p, (c * x + d * y) % p] for x, y in vectors)
+            for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p
+        ),
+        name=f"GL_2(F_{p})",
+    )
+
+
+def test_generators_and_collapsed_complexes_are_pinned():
+    # The hash of the greedy generators and the collapsed complexes as they
+    # were when the group still built its multiplication table.
+    groups = [PermutationGroup.symmetric(3), PermutationGroup.symmetric(4)]
+    groups += [PermutationGroup.cyclic(6), general_linear(3)]
+    record = [
+        {
+            "group": G.name,
+            "generators": [list(g) for g in G.generators],
+            "complex": collapsed_bar_complex(G, 3).to_json(),
+        }
+        for G in groups
+    ]
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == "e8b5b7ced36c499ce3ce7a51c8606fd9e75a19ea41ba6b154727d62e6ace5beb"
+
+
+def test_homology_of_a_group_that_is_not_symmetric():
+    G = general_linear(3)
+    assert G.order == 48
+    assert group_homology(G, 1) == abelianization(G) == HomologyGroup(0, (2,))
+
+
+def test_schur_multiplier_of_s7():
+    assert group_homology(PermutationGroup.symmetric(7), 2) == HomologyGroup(0, (2,))
 
 
 def test_bar_boundary_degree_one_is_zero():
