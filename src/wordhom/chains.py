@@ -5,11 +5,17 @@ n over one alphabet.  Coefficients are arbitrary-precision integers and zero
 coefficients are never stored, so equality is plain term-map equality.  Terms
 are kept in canonical (lexicographic) order when iterated or serialized,
 which makes serialization injective on distinct chains.
+
+The boundary d(x_1, …, x_n) = Σ (−1)^(j+1) (…, x̂_j, …) has one kernel,
+``add_boundary``, which Chain.boundary, the fillers and the Morse kernel all
+call; it takes the faces from ``itertools.combinations``, last entry deleted
+first.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from .alphabet import Alphabet, Word
 from .errors import DisjointnessViolation, InvalidInput
@@ -28,16 +34,25 @@ def add_terms(out: dict, terms: dict, k: int = 1) -> None:
 
 
 def add_boundary(out: dict, terms: dict, k: int = 1) -> None:
-    """out += k * boundary(terms), the alternating sum of single-entry deletions."""
+    """out += k * boundary(terms), the alternating sum of single-entry deletions.
+
+    This is the package's one face rule.  ``combinations(word, n - 1)`` yields
+    the faces of a word of length n that delete entry n-1, then n-2, down to
+    entry 0, so the first sign is (-1)^(n-1) and the signs alternate from
+    there.  The empty word has no faces.
+    """
+    get, pop = out.get, out.pop
     for word, coeff in terms.items():
-        c = k * coeff
-        for j in range(len(word)):
-            face = word[:j] + word[j + 1 :]
-            val = out.get(face, 0) + c
+        n = len(word)
+        if not n:
+            continue
+        c = k * coeff if n % 2 else -k * coeff
+        for face in combinations(word, n - 1):
+            val = get(face, 0) + c
             if val:
                 out[face] = val
             else:
-                out.pop(face, None)
+                pop(face, None)
             c = -c
 
 

@@ -19,12 +19,20 @@ Output is JSON or text; identical arguments give byte-identical JSON.  Exit
 codes: 0 computed and all internal checks passed, 1 a mathematical
 verification failed, 2 invalid input, 3 resource limit (a budget, or memory
 or stack running out).
+
+``run`` builds the parser on its first call, not at import, and reuses it
+for the rest of the process.  Reuse is safe because the parser holds no
+mutable defaults (no list defaults, no ``append`` actions): each call parses
+into a fresh namespace.  Subcommands name their handler, which ``run`` looks
+up in this module's globals at call time, so a handler replaced after the
+parser was built still runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import signal
 import sys
@@ -350,16 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     variants = hom.add_subparsers(dest="variant", required=True)
     inj = variants.add_parser("inj", help="injective words on the letters 1..m")
     inj.add_argument("--m", type=int, required=True, help="letter count")
-    inj.set_defaults(handler=_cmd_homology_inj)
+    inj.set_defaults(handler=_cmd_homology_inj.__name__)
     full = variants.add_parser("full", help="all words on the letters 1..m, truncated")
     full.add_argument("--m", type=int, required=True, help="letter count")
     full.add_argument("--max-degree", type=_positive_int, required=True, help="truncation degree")
-    full.set_defaults(handler=_cmd_homology_full)
+    full.set_defaults(handler=_cmd_homology_full.__name__)
     gp = variants.add_parser("gp", help="words in general position to a base word")
     _add_relation_flags(gp)
     gp.add_argument("--base", help="base word as JSON (default [])")
     gp.add_argument("--max-degree", type=_degree_or_auto, help="truncation degree, or 'auto'")
-    gp.set_defaults(handler=_cmd_homology_gp)
+    gp.set_defaults(handler=_cmd_homology_gp.__name__)
     for variant in (full, gp):
         variant.add_argument("--max-basis", type=_positive_int, help="basis-word budget override")
     for variant in (inj, full, gp):
@@ -370,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     fill.add_argument("--base", help="base word as JSON (vector cycles only; default [])")
     fill.add_argument("--check", action="store_true", help="re-verify the certificate")
     _add_common(fill, "json")
-    fill.set_defaults(handler=_cmd_fill)
+    fill.set_defaults(handler=_cmd_fill.__name__)
 
     order = sub.add_parser("gp-order", help="order of a general position relation")
     order.add_argument("--max-n", type=_positive_int, help="search bound")
-    order.set_defaults(handler=_cmd_gp_order)
+    order.set_defaults(handler=_cmd_gp_order.__name__)
 
     axioms = sub.add_parser("axioms", help="randomized check of the relation axioms")
     axioms.add_argument("--samples", type=int, default=1000, help="number of random triples")
     axioms.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    axioms.set_defaults(handler=_cmd_axioms)
+    axioms.set_defaults(handler=_cmd_axioms.__name__)
 
     for relation_cmd in (order, axioms):
         relation_cmd.add_argument(
@@ -398,24 +406,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget of critical cells per degree of each group's Morse complex",
     )
     _add_common(nak, "text")
-    nak.set_defaults(handler=_cmd_nakaoka)
+    nak.set_defaults(handler=_cmd_nakaoka.__name__)
 
     der = sub.add_parser("derangements", help="derangement count and the closed form")
     der.add_argument("--m", type=int, required=True, help=f"at most {MAX_DERANGEMENT_M}")
     _add_common(der, "text")
-    der.set_defaults(handler=_cmd_derangements)
+    der.set_defaults(handler=_cmd_derangements.__name__)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses: built on the first call, then reused."""
+    return build_parser()
 
 
 def run(argv) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _shared_parser().parse_args(argv)
         except SystemExit:  # only --help exits; every rejection raises InvalidInput
             return EXIT_OK
         with _deadline(args.time_budget):
-            return args.handler(args)
+            # Looked up by name at call time, so a patched handler runs.
+            return globals()[args.handler](args)
     except WordhomError as exc:
         error = exc
     except (MemoryError, RecursionError) as exc:

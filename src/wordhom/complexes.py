@@ -18,6 +18,7 @@ degree, and is checked at each one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .alphabet import Alphabet, Word
 from .chains import Chain
@@ -120,9 +121,11 @@ def _boundary_matrix(lower: tuple, upper: tuple) -> SparseIntMatrix:
     index = {w: i for i, w in enumerate(lower)}
     entries: dict[tuple, int] = {}
     for j, word in enumerate(upper):
-        sign = 1
-        for pos in range(len(word)):
-            face = word[:pos] + word[pos + 1 :]
+        # The face rule of chains.add_boundary: the last entry is deleted
+        # first, with sign (-1)^(n-1).
+        n = len(word)
+        sign = 1 if n % 2 else -1
+        for face in combinations(word, n - 1):
             row = index.get(face)
             if row is None:
                 raise InternalInvariantBroken(

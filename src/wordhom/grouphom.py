@@ -88,11 +88,14 @@ class PermutationGroup:
     are sorted.  ``generators`` keeps each element, in index order, unless the
     ones kept before already reach it.  Their breadth-first search
     (``_shortlex``) checks closure, stopping at the first product outside the
-    set, so closure costs O(|G|·|generators|) compositions.  There is no
-    multiplication table: ``mult`` composes on demand.
+    set, so closure costs O(|G|·|generators|) compositions.  The last search,
+    on the final generators, is kept as ``shortlex``: the elements in the
+    order the search meets them, and their normal forms, which the collapsing
+    scheme reads instead of searching again.  There is no multiplication
+    table: ``mult`` composes on demand.
     """
 
-    __slots__ = ("degree", "elements", "index", "generators", "inverse", "name")
+    __slots__ = ("degree", "elements", "index", "generators", "inverse", "shortlex", "name")
 
     def __init__(self, elements, name: str = "group"):
         elements = {tuple(e) for e in elements}
@@ -109,11 +112,13 @@ class PermutationGroup:
                 raise InvalidInput("not a permutation", element=e)
         index = {e: i for i, e in enumerate(ordered)}
         generators: list = []
+        search = [identity], [()]
         reached = {identity}
         for g in ordered:
             if g not in reached:
                 generators.append(g)
-                reached = set(_shortlex(identity, generators, within=index)[0])
+                search = _shortlex(identity, generators, within=index)
+                reached = set(search[0])
         # The inverse of e lists 0..degree-1 in the order of their images.
         inverse = [index[tuple(sorted(range(degree), key=e.__getitem__))] for e in ordered]
         self.degree = degree
@@ -121,6 +126,7 @@ class PermutationGroup:
         self.index = index
         self.generators = tuple(generators)
         self.inverse = tuple(inverse)
+        self.shortlex = tuple(search[0]), tuple(search[1])
         self.name = name
 
     @staticmethod
@@ -263,9 +269,10 @@ class _CollapsingScheme:
     permutations and memoised per pair; no multiplication table is built.
     """
 
-    def __init__(self, degree: int, generators, name: str):
+    def __init__(self, degree: int, generators, name: str, shortlex=None):
+        """``shortlex``, if given, is ``_shortlex``'s result for these generators."""
         self.rank = len(generators)
-        self.elements, self.words = _shortlex(tuple(range(degree)), generators)
+        self.elements, self.words = shortlex or _shortlex(tuple(range(degree)), generators)
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.normal = {w: i for i, w in enumerate(self.words)}
         self.name = name
@@ -414,9 +421,10 @@ def collapsed_bar_complex(
     """The bar complex reduced by Brown's collapsing scheme, truncated at max_degree.
 
     Normal forms are shortlex words in the group's greedy ``generators``,
-    and max_generators caps the critical cells of each degree.
+    taken from the search that checked the group's closure, and
+    max_generators caps the critical cells of each degree.
     """
-    scheme = _CollapsingScheme(group.degree, group.generators, group.name)
+    scheme = _CollapsingScheme(group.degree, group.generators, group.name, group.shortlex)
     return scheme.complex(max_degree, max_generators)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wordhom import Alphabet, Chain, DisjointnessViolation, InvalidInput
+from wordhom.chains import add_boundary
 from conftest import random_letter_chain, random_vector_chain
 
 A5 = Alphabet.letters(5)
@@ -66,6 +67,42 @@ def test_chain_rejects_wrong_length_term():
 def test_chain_rejects_foreign_symbol():
     with pytest.raises(InvalidInput):
         Chain(A5, 1, {(9,): 1})
+
+
+def _sliced_boundary(out, terms, k):
+    """out + k * boundary(terms) by the definition: entry j deleted with sign (-1)^j."""
+    total = dict(out)
+    for word, coeff in terms.items():
+        for j in range(len(word)):
+            face = word[:j] + word[j + 1 :]
+            total[face] = total.get(face, 0) + (-1) ** j * k * coeff
+    return {w: c for w, c in total.items() if c}
+
+
+def test_add_boundary_matches_the_slicing_definition():
+    rng = random.Random(2024)
+    for _ in range(400):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 8)))
+            terms[word] = rng.choice([c for c in range(-3, 4) if c])
+        k = rng.choice([-2, 1, 3])
+        # Seed out with some of the faces, half of them set to cancel exactly.
+        faces = sorted(_sliced_boundary({}, terms, k).items())
+        out = {}
+        for face, c in rng.sample(faces, rng.randint(0, len(faces))):
+            out[face] = -c if rng.random() < 0.5 else rng.randint(1, 5)
+        out[("unrelated",)] = 7
+        expected = _sliced_boundary(out, terms, k)
+        add_boundary(out, terms, k)
+        assert out == expected
+        assert all(out.values())
+
+
+def test_the_empty_word_has_no_faces():
+    out = {(1,): 2}
+    add_boundary(out, {(): 5}, 3)
+    assert out == {(1,): 2}
 
 
 def test_boundary_squared_randomized():

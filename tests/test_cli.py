@@ -391,6 +391,57 @@ def test_other_exceptions_propagate(capture, monkeypatch):
         capture("derangements", "--m", "3")
 
 
+# -- one parser per process -------------------------------------------------------
+
+REUSE_SEQUENCE = [
+    (["homology", "inj", "--m", "3", "--format", "json"], 0),
+    (["nakaoka", "--n", "3", "--max-degree", "2"], 0),
+    (["derangements", "--m", "3", "--seed", "1"], 2),
+    (["--help"], 0),
+    (["axioms", "--p", "5", "--dim", "2"], 0),
+    (["axioms", "--p", "5", "--dim", "2", "--samples", "7"], 0),
+    (["homology", "inj", "--m", "3", "--format", "json"], 0),
+]
+
+
+def test_reused_parser_answers_as_a_fresh_interpreter(capture, monkeypatch):
+    # --help wraps its text to the terminal width, read from COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, expected_code in REUSE_SEQUENCE:
+        code, out = capture(*argv)
+        alone = subprocess.run(
+            [sys.executable, "-m", "wordhom", *argv], capture_output=True, text=True
+        )
+        assert code == expected_code, argv
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import wordhom.cli as c; print(c._shared_parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n"
+
+
+def test_handler_patched_after_the_parser_is_built_runs(capture, monkeypatch):
+    assert capture("derangements", "--m", "3")[0] == 0
+    calls = []
+
+    def patched(args):
+        calls.append(args.m)
+        return 0
+
+    monkeypatch.setattr("wordhom.cli._cmd_derangements", patched)
+    assert capture("derangements", "--m", "3") == (0, "")
+    assert calls == [3]
+
+
 @pytest.mark.parametrize("m", ["0", "9"])
 def test_homology_inj_cap(capture, m):
     code, out = capture("homology", "inj", "--m", m)

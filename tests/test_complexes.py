@@ -223,6 +223,12 @@ def test_verify_passes_on_fresh_complexes():
     build_gp(VectorRelation(2, 2)).verify()
 
 
+def test_verify_passes_on_larger_complexes():
+    build_injective(5).verify()
+    build_full(3, 4).verify()
+    build_gp(VectorRelation(5, 2), ((1, 0),)).verify()
+
+
 def test_construction_rejects_nonzero_square():
     one = SparseIntMatrix(1, 1, {(0, 0): 1})
     with pytest.raises(InternalInvariantBroken):
