@@ -8,8 +8,9 @@ Brown's collapsing scheme (Brown 1992, "The geometry of rewriting systems")
 matches its cells through shortlex normal forms in a generating set, and
 ``morse.morse_complex`` reduces it to the critical cells, Anick's chains:
 S_5 keeps 1, 4, 13, 45 cells in degrees 0..3, where the bar complex has
-1, 119, 14161, 1685159.  S_n is generated by its Coxeter generators
-s_1..s_{n-1}, any other group by the greedy ``PermutationGroup.generators``.
+1, 119, 14161, 1685159.  Every group, S_n included, goes through one road:
+a ``PermutationGroup``, its greedy ``generators`` (for S_n the Coxeter
+generators in reverse, s_{n-1}, ..., s_1) and ``collapsed_bar_complex``.
 No group keeps a multiplication table: construction checks closure through
 the generators, and products are composed on demand.  ``max_generators``
 caps the critical cells per degree, and every degree's count is checked
@@ -43,19 +44,6 @@ def _check_order(order: int) -> None:
         raise ResourceLimit("group order beyond the desk-scale cap", order=order)
 
 
-def _symmetric_order(n: int) -> int:
-    """n!, once n is known to be within the group-order cap."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput("need n >= 1", n=n)
-    # Past 20 letters only n is reported, since n! soon has too many digits
-    # to print and to compute.
-    if n > 20:
-        raise ResourceLimit("group order beyond the desk-scale cap", n=n)
-    order = math.factorial(n)
-    _check_order(order)
-    return order
-
-
 def _check_budget(max_generators: int) -> None:
     if max_generators < 1:
         raise InvalidInput(
@@ -86,13 +74,14 @@ class PermutationGroup:
     Elements are tuples mapping 0..degree-1 to images; composition is
     (s*t)(i) = s(t(i)).  The identity is element 0 and the remaining elements
     are sorted.  ``generators`` keeps each element, in index order, unless the
-    ones kept before already reach it.  Their breadth-first search
-    (``_shortlex``) checks closure, stopping at the first product outside the
-    set, so closure costs O(|G|·|generators|) compositions.  The last search,
-    on the final generators, is kept as ``shortlex``: the elements in the
-    order the search meets them, and their normal forms, which the collapsing
-    scheme reads instead of searching again.  There is no multiplication
-    table: ``mult`` composes on demand.
+    ones kept before already reach it; for S_n that leaves the adjacent swaps
+    s_{n-1}, ..., s_1, with s_i exchanging i-1 and i.  Their breadth-first
+    search (``_shortlex``) checks closure, stopping at the first product
+    outside the set, so closure costs O(|G|·|generators|) compositions.  The
+    last search, on the final generators, is kept as ``shortlex``: the
+    elements in the order the search meets them, and their normal forms,
+    which the collapsing scheme reads as they are.  There is no
+    multiplication table: ``mult`` composes on demand.
     """
 
     __slots__ = ("degree", "elements", "index", "generators", "inverse", "shortlex", "name")
@@ -107,8 +96,9 @@ class PermutationGroup:
             raise InvalidInput("the identity permutation is missing")
         _check_order(len(elements))
         ordered = [identity] + sorted(elements - {identity})
+        points = list(identity)
         for e in ordered:
-            if sorted(e) != list(range(degree)):
+            if sorted(e) != points:
                 raise InvalidInput("not a permutation", element=e)
         index = {e: i for i, e in enumerate(ordered)}
         generators: list = []
@@ -119,8 +109,8 @@ class PermutationGroup:
                 generators.append(g)
                 search = _shortlex(identity, generators, within=index)
                 reached = set(search[0])
-        # The inverse of e lists 0..degree-1 in the order of their images.
-        inverse = [index[tuple(sorted(range(degree), key=e.__getitem__))] for e in ordered]
+        # The inverse of e sends each point to its position in e.
+        inverse = [index[tuple(map(e.index, identity))] for e in ordered]
         self.degree = degree
         self.elements = tuple(ordered)
         self.index = index
@@ -131,9 +121,14 @@ class PermutationGroup:
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
+        if not isinstance(n, int) or n < 1:
+            raise InvalidInput("need n >= 1", n=n)
         # The cap is checked before any permutation is listed: S_11 alone has
-        # 39.9 million.
-        _symmetric_order(n)
+        # 39.9 million.  Past 20 letters only n is reported, since n! soon has
+        # too many digits to print and to compute.
+        if n > 20:
+            raise ResourceLimit("group order beyond the desk-scale cap", n=n)
+        _check_order(math.factorial(n))
         return PermutationGroup(itertools.permutations(range(n)), name=f"S_{n}")
 
     @staticmethod
@@ -225,15 +220,15 @@ def build_bar_complex(
     )
 
 
-def _shortlex(identity: tuple, generators, within=None) -> tuple[list, list]:
+def _shortlex(identity: tuple, generators, within) -> tuple[list, list]:
     """Every element the generators reach, with its shortlex-least word.
 
     A breadth-first search from the identity in generator order meets each
     element first through its shortlex-least word, so element i (the i-th
     met, the identity being 0) has normal form ``words[i]`` and the indices
-    follow the shortlex order of the normal forms.  Given ``within``, a newly
-    met element outside it raises InvalidInput, so the search stays inside
-    that set.
+    follow the shortlex order of the normal forms.  A newly met element
+    outside ``within`` raises InvalidInput, so the search stays inside that
+    set.
     """
     elements, words = [identity], [()]
     found = {identity}
@@ -241,7 +236,7 @@ def _shortlex(identity: tuple, generators, within=None) -> tuple[list, list]:
         for s, g in enumerate(generators):
             y = tuple(x[j] for j in g)  # x * g
             if y not in found:
-                if within is not None and y not in within:
+                if y not in within:
                     raise InvalidInput("the element set is not closed under composition")
                 found.add(y)
                 elements.append(y)
@@ -252,11 +247,12 @@ def _shortlex(identity: tuple, generators, within=None) -> tuple[list, list]:
 class _CollapsingScheme:
     """Brown's collapsing scheme on the normalized bar complex of a permutation group.
 
-    Cells are bar cells [x_1|…|x_k], tuples of non-identity element indices
-    (see ``_shortlex``).  Let j be the length of the longest essential
-    prefix: x_1 is one generator, and each nf(x_{i-1})·nf(x_i) is reducible
-    while nf(x_{i-1})·u is normal for every proper prefix u of nf(x_i).  Then
-    the cell is
+    The generators, the elements in shortlex order and their normal forms
+    are the group's own (``PermutationGroup.shortlex``).  Cells are bar cells
+    [x_1|…|x_k], tuples of non-identity element indices in that order.  Let
+    j be the length of the longest essential prefix: x_1 is one generator,
+    and each nf(x_{i-1})·nf(x_i) is reducible while nf(x_{i-1})·u is normal
+    for every proper prefix u of nf(x_i).  Then the cell is
 
       - critical when j = k;
       - redundant when j = 0, with partner [s|x_1'|x_2|…], where nf(x_1) = s·nf(x_1');
@@ -269,13 +265,12 @@ class _CollapsingScheme:
     permutations and memoised per pair; no multiplication table is built.
     """
 
-    def __init__(self, degree: int, generators, name: str, shortlex=None):
-        """``shortlex``, if given, is ``_shortlex``'s result for these generators."""
-        self.rank = len(generators)
-        self.elements, self.words = shortlex or _shortlex(tuple(range(degree)), generators)
+    def __init__(self, group: PermutationGroup):
+        self.rank = len(group.generators)
+        self.elements, self.words = group.shortlex
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.normal = {w: i for i, w in enumerate(self.words)}
-        self.name = name
+        self.name = group.name
         self._products: dict = {}
         self._cuts: dict = {}
         self._successors: dict = {}
@@ -402,17 +397,6 @@ class _CollapsingScheme:
         )
 
 
-def _symmetric_scheme(n: int) -> _CollapsingScheme:
-    """S_n on its Coxeter generators s_1..s_{n-1}; no group table is built."""
-    _symmetric_order(n)
-    coxeter = []
-    for i in range(n - 1):
-        s = list(range(n))
-        s[i], s[i + 1] = i + 1, i
-        coxeter.append(tuple(s))
-    return _CollapsingScheme(n, coxeter, f"S_{n}")
-
-
 def collapsed_bar_complex(
     group: PermutationGroup,
     max_degree: int,
@@ -420,12 +404,12 @@ def collapsed_bar_complex(
 ) -> ChainComplexRep:
     """The bar complex reduced by Brown's collapsing scheme, truncated at max_degree.
 
-    Normal forms are shortlex words in the group's greedy ``generators``,
-    taken from the search that checked the group's closure, and
-    max_generators caps the critical cells of each degree.
+    The one road from a group to its Morse complex, S_n included.  Normal
+    forms are shortlex words in the group's greedy ``generators``, taken from
+    the search that checked the group's closure, and max_generators caps the
+    critical cells of each degree.
     """
-    scheme = _CollapsingScheme(group.degree, group.generators, group.name, group.shortlex)
-    return scheme.complex(max_degree, max_generators)
+    return _CollapsingScheme(group).complex(max_degree, max_generators)
 
 
 def group_homology(
@@ -444,10 +428,10 @@ def sym_homology(
     m: int,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> HomologyGroup:
-    """H_m of the symmetric group on n letters, on its Coxeter generators."""
+    """H_m of the symmetric group on n letters: ``group_homology`` of S_n."""
     if m < 0:
         raise InvalidInput("need m >= 0", m=m)
-    return homology_table(_symmetric_scheme(n).complex(m + 1, max_generators), [m])[m]
+    return group_homology(PermutationGroup.symmetric(n), m, max_generators)
 
 
 def abelianization(group: PermutationGroup) -> HomologyGroup:
@@ -549,7 +533,7 @@ def nakaoka_table(
     """Compare H_m(S_{n-1}) with H_m(S_n) for m = 0..max_degree.
 
     Row m reports degree m and whether m < n/2; each group's Morse complex
-    (``_symmetric_scheme``) is built once and shared by all degrees.
+    (``collapsed_bar_complex``) is built once and shared by all degrees.
     """
     if n < 2:
         raise InvalidInput("need n >= 2 to compare consecutive groups", n=n)
@@ -558,7 +542,8 @@ def nakaoka_table(
     # S_n has the more critical cells, so its budget is checked first, before
     # anything is reduced.
     large, small = (
-        _symmetric_scheme(k).complex(max_degree + 1, max_generators) for k in (n, n - 1)
+        collapsed_bar_complex(PermutationGroup.symmetric(k), max_degree + 1, max_generators)
+        for k in (n, n - 1)
     )
     degrees = range(max_degree + 1)
     lhs = homology_table(small, degrees)

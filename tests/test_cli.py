@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -554,6 +555,31 @@ def test_nakaoka_checks_both_caps_before_building(capture, monkeypatch):
     code, out = capture("nakaoka", "--n", "3", "--max-degree", "2000")
     assert code == 3
     _assert_error_json(out, "resource-limit")
+
+
+def _nakaoka_argvs():
+    for n in range(2, 7):
+        for degree in range(4):
+            argv = ["nakaoka", "--n", str(n), "--max-degree", str(degree)]
+            yield argv + ["--format", "json"]
+            if n <= 5:
+                yield argv + ["--format", "text"]
+    for n, degree in ((1, 1), (8, 1), (12, 0), (25, 0), (4, -1)):
+        yield ["nakaoka", "--n", str(n), "--max-degree", str(degree)]
+    # S_6 is over a budget of 20 in degree 2 and S_5 only in degree 3, so the
+    # reported degree shows which group's budget is checked first.
+    for n, degree, budget in ((5, 2, 40), (6, 3, 40), (6, 3, 20)):
+        argv = ["nakaoka", "--n", str(n), "--max-degree", str(degree)]
+        yield argv + ["--max-generators", str(budget)]
+
+
+def test_nakaoka_output_is_pinned(capture):
+    # The hash of every answer and error as the Coxeter-generator scheme gave them.
+    digest = hashlib.sha256()
+    for argv in _nakaoka_argvs():
+        code, out = capture(*argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == "72b765b5eb32c8a3dbbf95a348159435ffa143111dcbfafd5a8f27cfcaf74421"
 
 
 # -- seeded fuzzing: every mutation is answered or rejected with the error JSON --

@@ -71,6 +71,14 @@ def test_group_keeps_no_multiplication_table():
     G = PermutationGroup.symmetric(4)
     assert not hasattr(G, "table")
     assert G.generators == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
+    # S_n's greedy generators are its Coxeter generators in reverse, s_{n-1}..s_1.
+    for n in range(1, 8):
+        swaps = []
+        for i in range(n - 2, -1, -1):
+            s = list(range(n))
+            s[i], s[i + 1] = i + 1, i
+            swaps.append(tuple(s))
+        assert PermutationGroup.symmetric(n).generators == tuple(swaps), n
 
 
 def general_linear(p):
@@ -266,9 +274,18 @@ def test_collapsing_scheme_agrees_with_the_bar_complex(group, top):
 
 
 def test_collapsing_scheme_critical_cells():
-    # Anick's chains on the Coxeter generators; a cyclic group has one per degree.
+    # Anick's chains on the greedy generators; a cyclic group has one per degree.
     assert collapsed_bar_complex(PermutationGroup.symmetric(4), 3).dims == (1, 3, 7, 18)
     assert collapsed_bar_complex(PermutationGroup.cyclic(5), 4).dims == (1, 1, 1, 1, 1)
+    # The counts S_n had on the Coxeter generators s_1..s_{n-1} in their own order.
+    recorded = {
+        (3, 5): (1, 2, 3, 5, 9, 17),
+        (4, 5): (1, 3, 7, 18, 49, 138),
+        (5, 4): (1, 4, 13, 45, 162),
+        (6, 4): (1, 5, 21, 92, 415),
+    }
+    for (n, top), dims in recorded.items():
+        assert collapsed_bar_complex(PermutationGroup.symmetric(n), top).dims == dims, n
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
