@@ -9,15 +9,15 @@ matches its cells through shortlex normal forms in a generating set, and
 ``morse.morse_complex`` reduces it to the critical cells, Anick's chains:
 S_5 keeps 1, 4, 13, 45 cells in degrees 0..3, where the bar complex has
 1, 119, 14161, 1685159.  Every group, S_n included, goes through one road:
-a ``PermutationGroup``, its greedy ``generators`` (for S_n the Coxeter
-generators in reverse, s_{n-1}, ..., s_1) and ``collapsed_bar_complex``.
-No group keeps a multiplication table: construction checks closure through
-the generators, and products are composed on demand.  ``max_generators``
-caps the critical cells per degree, and every degree's count is checked
-before any cell is built.  ``build_bar_complex`` and ``bar_boundary`` stay
-as the test oracle.  Either complex is a ChainComplexRep without bases, so
-its integral homology comes out of homology_table like that of any word
-complex.  The abelianization is computed independently, by enumerating the
+a ``PermutationGroup`` given by its ``generators`` (for S_n the Coxeter
+generators in reverse, s_{n-1}, ..., s_1), whose one breadth-first search
+lists the elements and their normal forms, and ``collapsed_bar_complex``.
+No group keeps a multiplication table: products are composed on demand.
+``max_generators`` caps the critical cells per degree, and every degree's
+count is checked before any cell is built.  ``build_bar_complex`` and
+``bar_boundary`` stay as the test oracle.  Either complex is a
+ChainComplexRep without bases, so its integral homology comes out of
+homology_table like that of any word complex.  The abelianization is computed independently, by enumerating the
 commutator subgroup in O(|G|^2) compositions, and serves only as a
 cross-check on degree-one homology.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -69,80 +70,84 @@ def _check_generators(order: int, k: int, normalized: bool, max_generators: int)
 
 
 class PermutationGroup:
-    """Finite group of permutations: its elements and a greedy generating set.
+    """Finite group of permutations, given by its generators.
 
-    Elements are tuples mapping 0..degree-1 to images; composition is
-    (s*t)(i) = s(t(i)).  The identity is element 0 and the remaining elements
-    are sorted.  ``generators`` keeps each element, in index order, unless the
-    ones kept before already reach it; for S_n that leaves the adjacent swaps
-    s_{n-1}, ..., s_1, with s_i exchanging i-1 and i.  Their breadth-first
-    search (``_shortlex``) checks closure, stopping at the first product
-    outside the set, so closure costs O(|G|·|generators|) compositions.  The
-    last search, on the final generators, is kept as ``shortlex``: the
-    elements in the order the search meets them, and their normal forms,
-    which the collapsing scheme reads as they are.  There is no
-    multiplication table: ``mult`` composes on demand.
+    A permutation of 0..degree-1 is the tuple of its images; composition is
+    (s*t)(i) = s(t(i)).  One breadth-first search from the identity, in
+    generator order, lists the group: ``elements[i]`` is the i-th element
+    met (the identity is 0) and ``words[i]`` its shortlex-least word in the
+    generators, the normal form the collapsing scheme reads; ``index`` maps
+    an element to its position.  Closure holds by construction, and the
+    search costs O(|G|·|generators|) compositions.  A generator that is not
+    a permutation, is the identity or repeats an earlier one is invalid
+    input, and a search that would list more than MAX_GROUP_ORDER elements
+    raises ResourceLimit.  There is no multiplication table: ``mult``
+    composes on demand.
     """
 
-    __slots__ = ("degree", "elements", "index", "generators", "inverse", "shortlex", "name")
+    __slots__ = ("degree", "generators", "elements", "words", "index", "name")
 
-    def __init__(self, elements, name: str = "group"):
-        elements = {tuple(e) for e in elements}
-        if not elements:
-            raise InvalidInput("a group needs at least the identity")
-        degree = len(next(iter(elements)))
+    def __init__(self, degree: int, generators, name: str = "group"):
+        if not isinstance(degree, int) or degree < 0:
+            raise InvalidInput("the degree must be an integer >= 0", degree=degree)
         identity = tuple(range(degree))
-        if identity not in elements:
-            raise InvalidInput("the identity permutation is missing")
-        _check_order(len(elements))
-        ordered = [identity] + sorted(elements - {identity})
         points = list(identity)
-        for e in ordered:
-            if sorted(e) != points:
-                raise InvalidInput("not a permutation", element=e)
-        index = {e: i for i, e in enumerate(ordered)}
-        generators: list = []
-        search = [identity], [()]
-        reached = {identity}
-        for g in ordered:
-            if g not in reached:
-                generators.append(g)
-                search = _shortlex(identity, generators, within=index)
-                reached = set(search[0])
-        # The inverse of e sends each point to its position in e.
-        inverse = [index[tuple(map(e.index, identity))] for e in ordered]
+        kept: list = []
+        for g in map(tuple, generators):
+            if not all(type(i) is int for i in g) or sorted(g) != points:
+                raise InvalidInput("not a permutation of 0..degree-1", generator=g)
+            if g == identity or g in kept:
+                raise InvalidInput("a generator is the identity or repeats another", generator=g)
+            kept.append(g)
+        elements, words = [identity], [()]
+        index = {identity: 0}
+        # x * g is the tuple of x's entries at g's images; a generator moves
+        # at least two points, so its itemgetter returns a tuple.
+        compose = [operator.itemgetter(*g) for g in kept]
+        for x, word in zip(elements, words):
+            for s, times_g in enumerate(compose):
+                y = times_g(x)
+                if y not in index:
+                    if len(elements) == MAX_GROUP_ORDER:
+                        raise ResourceLimit(
+                            "group order beyond the desk-scale cap", limit=MAX_GROUP_ORDER
+                        )
+                    index[y] = len(elements)
+                    elements.append(y)
+                    words.append(word + (s,))
         self.degree = degree
-        self.elements = tuple(ordered)
+        self.generators = tuple(kept)
+        self.elements = tuple(elements)
+        self.words = tuple(words)
         self.index = index
-        self.generators = tuple(generators)
-        self.inverse = tuple(inverse)
-        self.shortlex = tuple(search[0]), tuple(search[1])
         self.name = name
 
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
+        """S_n on its adjacent swaps s_{n-1}, ..., s_1, s_i exchanging i-1 and i."""
         if not isinstance(n, int) or n < 1:
             raise InvalidInput("need n >= 1", n=n)
-        # The cap is checked before any permutation is listed: S_11 alone has
-        # 39.9 million.  Past 20 letters only n is reported, since n! soon has
-        # too many digits to print and to compute.
+        # The cap is checked before the search: S_11 alone has 39.9 million
+        # elements.  Past 20 letters only n is reported, since n! soon has too
+        # many digits to print and to compute.
         if n > 20:
             raise ResourceLimit("group order beyond the desk-scale cap", n=n)
         _check_order(math.factorial(n))
-        return PermutationGroup(itertools.permutations(range(n)), name=f"S_{n}")
+        swaps = []
+        for i in range(n - 1, 0, -1):
+            s = list(range(n))
+            s[i - 1], s[i] = i, i - 1
+            swaps.append(s)
+        return PermutationGroup(n, swaps, name=f"S_{n}")
 
     @staticmethod
     def cyclic(k: int) -> "PermutationGroup":
+        """C_k on its one rotation i -> i+1 mod k."""
         if not isinstance(k, int) or k < 1:
             raise InvalidInput("need k >= 1", k=k)
         _check_order(k)
-        rotation = tuple((i + 1) % k for i in range(k))
-        elements = []
-        current = tuple(range(k))
-        for _ in range(k):
-            elements.append(current)
-            current = tuple(rotation[i] for i in current)
-        return PermutationGroup(elements, name=f"C_{k}")
+        rotation = [(i + 1) % k for i in range(k)]
+        return PermutationGroup(k, [rotation] if k > 1 else [], name=f"C_{k}")
 
     @property
     def order(self) -> int:
@@ -220,39 +225,15 @@ def build_bar_complex(
     )
 
 
-def _shortlex(identity: tuple, generators, within) -> tuple[list, list]:
-    """Every element the generators reach, with its shortlex-least word.
-
-    A breadth-first search from the identity in generator order meets each
-    element first through its shortlex-least word, so element i (the i-th
-    met, the identity being 0) has normal form ``words[i]`` and the indices
-    follow the shortlex order of the normal forms.  A newly met element
-    outside ``within`` raises InvalidInput, so the search stays inside that
-    set.
-    """
-    elements, words = [identity], [()]
-    found = {identity}
-    for x, word in zip(elements, words):
-        for s, g in enumerate(generators):
-            y = tuple(x[j] for j in g)  # x * g
-            if y not in found:
-                if y not in within:
-                    raise InvalidInput("the element set is not closed under composition")
-                found.add(y)
-                elements.append(y)
-                words.append(word + (s,))
-    return elements, words
-
-
 class _CollapsingScheme:
     """Brown's collapsing scheme on the normalized bar complex of a permutation group.
 
     The generators, the elements in shortlex order and their normal forms
-    are the group's own (``PermutationGroup.shortlex``).  Cells are bar cells
-    [x_1|…|x_k], tuples of non-identity element indices in that order.  Let
-    j be the length of the longest essential prefix: x_1 is one generator,
-    and each nf(x_{i-1})·nf(x_i) is reducible while nf(x_{i-1})·u is normal
-    for every proper prefix u of nf(x_i).  Then the cell is
+    are the group's own (``generators``, ``elements``, ``words``).  Cells
+    are bar cells [x_1|…|x_k], tuples of non-identity element indices in
+    that order.  Let j be the length of the longest essential prefix: x_1
+    is one generator, and each nf(x_{i-1})·nf(x_i) is reducible while
+    nf(x_{i-1})·u is normal for every proper prefix u of nf(x_i).  Then the cell is
 
       - critical when j = k;
       - redundant when j = 0, with partner [s|x_1'|x_2|…], where nf(x_1) = s·nf(x_1');
@@ -261,15 +242,16 @@ class _CollapsingScheme:
         of its normal form that makes nf(x_j)·u reducible.
 
     The critical cells are Anick's chains (Brown 1992; Sköldberg 2006;
-    Jöllenbeck–Welker 2009).  Products for boundary faces are composed on the
-    permutations and memoised per pair; no multiplication table is built.
+    Jöllenbeck–Welker 2009).  Products for boundary faces come from the
+    group's ``mult`` and are memoised per pair; no multiplication table is
+    built.
     """
 
     def __init__(self, group: PermutationGroup):
         self.rank = len(group.generators)
-        self.elements, self.words = group.shortlex
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.words = group.words
         self.normal = {w: i for i, w in enumerate(self.words)}
+        self.mult = group.mult
         self.name = group.name
         self._products: dict = {}
         self._cuts: dict = {}
@@ -278,8 +260,7 @@ class _CollapsingScheme:
     def product(self, x: int, y: int) -> int:
         z = self._products.get((x, y))
         if z is None:
-            a = self.elements[x]
-            z = self._products[x, y] = self.index[tuple(a[j] for j in self.elements[y])]
+            z = self._products[x, y] = self.mult(x, y)
         return z
 
     def boundary(self, cell) -> dict:
@@ -405,9 +386,9 @@ def collapsed_bar_complex(
     """The bar complex reduced by Brown's collapsing scheme, truncated at max_degree.
 
     The one road from a group to its Morse complex, S_n included.  Normal
-    forms are shortlex words in the group's greedy ``generators``, taken from
-    the search that checked the group's closure, and max_generators caps the
-    critical cells of each degree.
+    forms are shortlex words in the group's ``generators``, taken from the
+    search that listed the group, and max_generators caps the critical
+    cells of each degree.
     """
     return _CollapsingScheme(group).complex(max_degree, max_generators)
 
@@ -444,8 +425,9 @@ def abelianization(group: PermutationGroup) -> HomologyGroup:
     ``mult``, where the collapsing scheme makes O(|G|·|generators|).
     """
     mult = group.mult
-    inverse = group.inverse
     order = group.order
+    # The inverse of e sends each point to its position in e.
+    inverse = [group.index[tuple(map(e.index, range(group.degree)))] for e in group.elements]
     commutators = {
         mult(mult(a, b), mult(inverse[a], inverse[b]))
         for a in range(order)

@@ -24,13 +24,14 @@ from wordhom.grouphom import MAX_GROUP_ORDER
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_symmetric_group_table_is_a_group(n):
-    # construction verifies closure, identity and inverses
+    # identity, inverses and associativity, all through mult
     G = PermutationGroup.symmetric(n)
     assert G.order == __import__("math").factorial(n)
     assert G.elements[0] == tuple(range(n))
     for i in range(G.order):
-        assert G.mult(i, G.inverse[i]) == 0
         assert G.mult(0, i) == i == G.mult(i, 0)
+        # each row of the table is a permutation, so i has exactly one inverse
+        assert sorted(G.mult(i, j) for j in range(G.order)) == list(range(G.order))
     # associativity on a sample
     import random
 
@@ -41,10 +42,10 @@ def test_symmetric_group_table_is_a_group(n):
 
 
 def test_group_order_cap_checked_before_enumerating(monkeypatch):
-    def no_listing(*args, **kwargs):
-        raise AssertionError("permutations were listed")
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search was started")
 
-    monkeypatch.setattr(itertools, "permutations", no_listing)
+    monkeypatch.setattr(PermutationGroup, "__init__", no_search)
     for n in (8, 10**9):
         with pytest.raises(ResourceLimit):
             PermutationGroup.symmetric(n)
@@ -52,26 +53,39 @@ def test_group_order_cap_checked_before_enumerating(monkeypatch):
         PermutationGroup.cyclic(MAX_GROUP_ORDER + 1)
 
 
-def test_non_closed_set_rejected():
-    with pytest.raises(InvalidInput):
-        PermutationGroup([(0, 1, 2), (1, 0, 2)][:1] + [(1, 2, 0)][:1] + [(0, 2, 1)])
-
-
-def test_closure_check_stays_inside_the_element_set():
+def test_search_stops_at_the_order_cap():
     # A 12-cycle and a transposition generate S_12 (479001600 elements); the
-    # check rejects the set at its first product outside it.
+    # search gives up once it would list element MAX_GROUP_ORDER + 1.
     n = 12
     cycle = tuple((i + 1) % n for i in range(n))
     swap = (1, 0) + tuple(range(2, n))
+    with pytest.raises(ResourceLimit) as info:
+        PermutationGroup(n, [cycle, swap])
+    assert info.value.context == {"limit": MAX_GROUP_ORDER}
+
+
+@pytest.mark.parametrize(
+    "degree, generators",
+    [
+        (3, [(0, 1)]),  # too short
+        (3, [(0, 1, 1)]),  # a repeated point
+        (3, [(1, 2, 3)]),  # a point outside 0..2
+        (2, [(1.0, 0)]),  # not integers
+        (3, [(0, 1, 2)]),  # the identity
+        (3, [(1, 0, 2), (2, 1, 0), (1, 0, 2)]),  # a repeat
+        (-1, []),
+    ],
+)
+def test_bad_generators_rejected(degree, generators):
     with pytest.raises(InvalidInput):
-        PermutationGroup([tuple(range(n)), cycle, swap])
+        PermutationGroup(degree, generators)
 
 
 def test_group_keeps_no_multiplication_table():
     G = PermutationGroup.symmetric(4)
     assert not hasattr(G, "table")
     assert G.generators == ((0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3))
-    # S_n's greedy generators are its Coxeter generators in reverse, s_{n-1}..s_1.
+    # S_n's generators are its Coxeter generators in reverse, s_{n-1}..s_1.
     for n in range(1, 8):
         swaps = []
         for i in range(n - 2, -1, -1):
@@ -81,22 +95,33 @@ def test_group_keeps_no_multiplication_table():
         assert PermutationGroup.symmetric(n).generators == tuple(swaps), n
 
 
-def general_linear(p):
-    """GL_2(F_p) acting on the p^2 - 1 nonzero vectors of F_p^2."""
+def on_nonzero_vectors(p, a, b, c, d):
+    """The permutation of the p^2 - 1 nonzero vectors of F_p^2 made by [[a, b], [c, d]]."""
     vectors = [v for v in itertools.product(range(p), repeat=2) if any(v)]
     index = {v: i for i, v in enumerate(vectors)}
-    return PermutationGroup(
-        (
-            tuple(index[(a * x + b * y) % p, (c * x + d * y) % p] for x, y in vectors)
-            for a, b, c, d in itertools.product(range(p), repeat=4)
-            if (a * d - b * c) % p
-        ),
-        name=f"GL_2(F_{p})",
-    )
+    return tuple(index[(a * x + b * y) % p, (c * x + d * y) % p] for x, y in vectors)
+
+
+def general_linear(p):
+    """GL_2(F_p) acting on the nonzero vectors of F_p^2, on the generators
+    the pinned digest records: the group's permutations in sorted order,
+    keeping each one that those kept before do not reach."""
+    degree = p * p - 1
+    generators = []
+    reached = {tuple(range(degree))}
+    for g in sorted(
+        on_nonzero_vectors(p, a, b, c, d)
+        for a, b, c, d in itertools.product(range(p), repeat=4)
+        if (a * d - b * c) % p
+    ):
+        if g not in reached:
+            generators.append(g)
+            reached = set(PermutationGroup(degree, generators).elements)
+    return PermutationGroup(degree, generators, name=f"GL_2(F_{p})")
 
 
 def test_generators_and_collapsed_complexes_are_pinned():
-    # The hash of the greedy generators and the collapsed complexes as they
+    # The hash of the generators and the collapsed complexes as they
     # were when the group still built its multiplication table.
     groups = [PermutationGroup.symmetric(3), PermutationGroup.symmetric(4)]
     groups += [PermutationGroup.cyclic(6), general_linear(3)]
@@ -116,6 +141,14 @@ def test_homology_of_a_group_that_is_not_symmetric():
     G = general_linear(3)
     assert G.order == 48
     assert group_homology(G, 1) == abelianization(G) == HomologyGroup(0, (2,))
+
+
+def test_general_linear_group_from_its_natural_generators():
+    # Two transvections generate SL_2(F_3), and diag(2, 1) has determinant 2.
+    matrices = [(1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)]
+    G = PermutationGroup(8, [on_nonzero_vectors(3, *m) for m in matrices], name="GL_2(F_3)")
+    assert G.order == general_linear(3).order == 48
+    assert group_homology(G, 1) == group_homology(general_linear(3), 1) == HomologyGroup(0, (2,))
 
 
 def test_schur_multiplier_of_s7():
@@ -274,7 +307,7 @@ def test_collapsing_scheme_agrees_with_the_bar_complex(group, top):
 
 
 def test_collapsing_scheme_critical_cells():
-    # Anick's chains on the greedy generators; a cyclic group has one per degree.
+    # Anick's chains on s_3, s_2, s_1; a cyclic group has one per degree.
     assert collapsed_bar_complex(PermutationGroup.symmetric(4), 3).dims == (1, 3, 7, 18)
     assert collapsed_bar_complex(PermutationGroup.cyclic(5), 4).dims == (1, 1, 1, 1, 1)
     # The counts S_n had on the Coxeter generators s_1..s_{n-1} in their own order.
