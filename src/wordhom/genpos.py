@@ -27,6 +27,7 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .alphabet import Alphabet, Word
 from .errors import InvalidInput, PreconditionViolated
@@ -201,8 +202,11 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
     coefficients, over the entries of x followed by those of y, in which some
     x coefficient is nonzero.  Equivalently: no entry of x lies in the span
     of at most dim-1 of the remaining entries (the empty span forces the
-    entry itself to be nonzero).  Entries are reduced mod p first.
+    entry itself to be nonzero).  Entries are reduced mod p first; p must be
+    a prime int.
     """
+    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InvalidInput("the modulus must be a prime integer", p=p)
     entries = [tuple(v) for v in x] + [tuple(v) for v in y]
     if dim is None:
         if not entries:

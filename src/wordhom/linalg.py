@@ -8,32 +8,38 @@ pivot column is that row's entry of least absolute value, ties broken by the
 fewest nonzeros in the column, then by the lowest column index.  When the
 pivot leaves a nonzero remainder in its column, the pivot moves to the row
 with the least |remainder| there, ties broken by the shorter row, then by
-the lower row index.  Live rows are kept in buckets by length, so choosing a
-pivot never scans the whole matrix.  The policy is part of the contract so
-that runs are reproducible; invariant factors are unique, so they (and
-every result built on them) do not depend on it.
+the lower row index.  Pivot rows come off one heap of (length, index)
+entries, so choosing a pivot never scans the whole matrix; an entry whose
+row has died or changed length since it was pushed is skipped.  The policy
+is part of the contract so that runs are reproducible; invariant factors
+are unique, so they (and every result built on them) do not depend on it.
 
 The elimination is one Euclidean step at a time, down the pivot column and
 along the pivot row alike.  Every other row of the pivot column is reduced
 modulo the pivot by row_i -= q*row_p, with q the floor quotient of the two
 column entries; this is the only operation that changes another row.  It
 rewrites the row in one pass, touches the column sets only where the row
-gains or loses a column, and moves the row between length buckets once.  If
-a remainder is left, the pivot moves as above and the step repeats.  Once
-the pivot column holds only the pivot row, a column operation changes that
-row alone.  If the pivot divides every entry of the row, the row is deleted
-in one step.  Otherwise each other entry is reduced modulo the pivot, and
-the row is pivoted again on its least entry (by the same rule) until the
-pivot divides the row.  |pivot| drops on every pass in either direction.
+gains or loses a column, and pushes the row once more only if its length
+changed.  If a remainder is left, the pivot moves as above and the step
+repeats.  Once the pivot column holds only the pivot row, a column
+operation changes that row alone.  If the pivot divides every entry of the
+row, the row is deleted in one step.  Otherwise each other entry is reduced
+modulo the pivot, and the row is pivoted again on its least entry (by the
+same rule) until the pivot divides the row.  |pivot| drops on every pass in
+either direction.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
 class SparseIntMatrix:
     """Immutable sparse integer matrix in coordinate form.
+
+    Entries are given as a ``{(row, col): value}`` dict; zero values are
+    dropped.
 
     `identity`, `from_dense`, `to_dense`, `transpose`, `permuted` and the
     module's `rank` are public construction and inspection API; the tests
@@ -42,25 +48,19 @@ class SparseIntMatrix:
 
     __slots__ = ("rows", "cols", "_entries")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        if entries is None:
+            entries = {}
+        elif not isinstance(entries, dict):
+            raise TypeError("entries must be a {(row, col): value} dict")
+        for r, c in entries:
+            if not 0 <= r < rows or not 0 <= c < cols:
+                raise ValueError(f"entry ({r},{c}) out of bounds")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        data = {}
-        if entries is not None:
-            if isinstance(entries, dict):
-                triples = [(r, c, v) for (r, c), v in entries.items()]
-            else:
-                triples = [(r, c, v) for r, c, v in entries]
-            for r, c, v in triples:
-                if not 0 <= r < rows or not 0 <= c < cols:
-                    raise ValueError(f"entry ({r},{c}) out of bounds")
-                if (r, c) in data:
-                    raise ValueError(f"duplicate coordinate ({r},{c})")
-                if v:
-                    data[(r, c)] = v
-        object.__setattr__(self, "_entries", data)
+        object.__setattr__(self, "_entries", {k: v for k, v in entries.items() if v})
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseIntMatrix is immutable")
@@ -147,6 +147,9 @@ class SparseIntMatrix:
 
     def permuted(self, row_perm, col_perm) -> "SparseIntMatrix":
         """Apply row and column permutations (maps old index to new index)."""
+        for perm, n in ((row_perm, self.rows), (col_perm, self.cols)):
+            if sorted(perm) != list(range(n)):
+                raise ValueError("row and column maps must be permutations")
         return SparseIntMatrix(
             self.rows,
             self.cols,
@@ -169,51 +172,26 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
     for (r, c), v in mat.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    # Row length -> live rows of that length; no bucket is ever empty.
-    by_len: dict[int, set[int]] = {}
-    for i, rowd in rows.items():
-        by_len.setdefault(len(rowd), set()).add(i)
+    # (row length, row index) entries.  Every live row but the current pivot
+    # has one whose length is still its length; the others are stale.
+    heap = [(len(rowd), i) for i, rowd in rows.items()]
+    heapify(heap)
 
-    def move_row(i, old, new):
-        # Move row i from the bucket of length old to that of length new;
-        # length 0 has no bucket.
-        if old:
-            bucket = by_len[old]
-            bucket.discard(i)
-            if not bucket:
-                del by_len[old]
-        if new:
-            bucket = by_len.get(new)
-            if bucket is None:
-                by_len[new] = {i}
-            else:
-                bucket.add(i)
-
-    def put(row, i, j, w):
-        # Write w at (i, j) of row, keeping cols; the caller refiles the row.
-        if w:
-            if j not in row:
-                s = cols.get(j)
-                if s is None:
-                    cols[j] = {i}
-                else:
-                    s.add(i)
-            row[j] = w
-        elif j in row:
-            del row[j]
-            s = cols[j]
-            s.discard(i)
-            if not s:
-                del cols[j]
+    def unlink(i, j):
+        # Row i has lost column j; drop the column once it holds no row.
+        s = cols[j]
+        s.discard(i)
+        if not s:
+            del cols[j]
 
     def refile(i, row, old):
         # Row i had old entries before the operation just done on it: drop
-        # it if it is empty, and move it to its new bucket once.
+        # it if it is empty, and push it once more if its length changed.
         new = len(row)
         if not new:
             del rows[i]
-        if new != old:
-            move_row(i, old, new)
+        elif new != old:
+            heappush(heap, (new, i))
 
     def subtract_multiple(i, q, prow):
         # row_i -= q * prow in one pass.  Every column of prow holds the
@@ -236,8 +214,10 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
 
     diag: list[int] = []
     while rows:
-        pr = min(by_len[min(by_len)])
-        prow = rows[pr]
+        n, pr = heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != n:
+            continue
         while True:
             least = min(map(abs, prow.values()))
             tied = [j for j, v in prow.items() if v == least or v == -least]
@@ -252,6 +232,8 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
             if rest:
                 # Each remainder left is smaller than |a|: pivot again on the
                 # row with the least one, then the shortest, then the lowest.
+                # The row it leaves needs its heap entry back.
+                heappush(heap, (len(prow), pr))
                 pr = min(rest, key=lambda i: (abs(rows[i][pc]), len(rows[i]), i))
                 prow = rows[pr]
                 continue
@@ -259,11 +241,7 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
                 # Column operations would now zero the rest of the row
                 # without touching any other row: delete it in one step.
                 for j in prow:
-                    s = cols[j]
-                    s.discard(pr)
-                    if not s:
-                        del cols[j]
-                move_row(pr, len(prow), 0)
+                    unlink(pr, j)
                 del rows[pr]
                 diag.append(abs(a))
                 break
@@ -272,7 +250,12 @@ def smith_normal_form(mat: SparseIntMatrix) -> list[int]:
             # smaller than |a|, so the next pivot of this row is smaller.
             old = len(prow)
             for j in [j for j in prow if j != pc]:
-                put(prow, pr, j, prow[j] % a)
+                w = prow[j] % a
+                if w:
+                    prow[j] = w
+                else:
+                    del prow[j]
+                    unlink(pr, j)
             refile(pr, prow, old)
 
     # Normalize the diagonal into a divisibility chain; gcd/lcm on a pair of

@@ -1,8 +1,21 @@
 """Shared test helpers: random chain generators and a naive normal-form oracle."""
 
+import os
+import pathlib
 import random
 
 from wordhom import Alphabet, Chain
+
+
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH.
+
+    A child interpreter does not see pytest's pythonpath setting, so without
+    it `python -m wordhom` would need an installed package.
+    """
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_letter_chain(rng, m, degree, max_terms=3, coeff=4, injective=False):

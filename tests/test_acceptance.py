@@ -11,8 +11,6 @@ import contextlib
 import functools
 import io
 import json
-import os
-import pathlib
 import random
 import resource
 import subprocess
@@ -43,7 +41,7 @@ from wordhom import (
     sym_homology,
 )
 from wordhom.cli import run
-from conftest import random_gp_chain, random_letter_chain
+from conftest import random_gp_chain, random_letter_chain, subprocess_env
 
 
 def criterion(name, budget_s):
@@ -103,12 +101,12 @@ def test_injective_homology_m8_cli_in_a_subprocess():
     --time-budget bounds the run.  RUSAGE_CHILDREN reports the largest child
     this test process has waited for, an upper bound on this child's peak.
     """
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     argv = ["homology", "inj", "--m", "8", "--format", "json", "--time-budget", "60"]
     proc = subprocess.run(
-        [sys.executable, "-m", "wordhom", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "wordhom", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     groups = {g["degree"]: g for g in json.loads(proc.stdout)["groups"]}

@@ -9,6 +9,7 @@ import pytest
 
 from wordhom import Alphabet, Chain
 from wordhom.cli import run
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -411,7 +412,10 @@ def test_reused_parser_answers_as_a_fresh_interpreter(capture, monkeypatch):
     for argv, expected_code in REUSE_SEQUENCE:
         code, out = capture(*argv)
         alone = subprocess.run(
-            [sys.executable, "-m", "wordhom", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "wordhom", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
         )
         assert code == expected_code, argv
         assert (code, out) == (alone.returncode, alone.stdout), argv
@@ -426,6 +430,7 @@ def test_parser_is_not_built_at_import():
         ],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.stdout == "0\n"
 
@@ -457,6 +462,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "wordhom", "derangements", "--m", "3"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "derangements(3) = 2" in proc.stdout

@@ -70,6 +70,12 @@ def test_gp_vec_large_fields_decide_by_row_reduction():
     assert not gp_vec(basis[:1], basis[1:] + [(1,) * 5 + (0,)], p=13)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 2.0, True])
+def test_gp_vec_rejects_a_modulus_that_is_not_a_prime_int(p):
+    with pytest.raises(InvalidInput):
+        gp_vec([(1, 0)], [(0, 1)], p=p)
+
+
 def test_gp_vec_rejects_mixed_dimensions():
     with pytest.raises(InvalidInput):
         gp_vec([(1, 0)], [(1, 0, 0)], p=2)

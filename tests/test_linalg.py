@@ -163,6 +163,20 @@ def test_matrix_rejects_out_of_bounds():
         SparseIntMatrix(2, 2, {(2, 0): 1})
 
 
+def test_matrix_takes_entries_only_as_a_dict():
+    with pytest.raises(TypeError):
+        SparseIntMatrix(2, 2, [(0, 0, 1)])
+
+
+def test_permuted_rejects_a_map_that_is_not_a_permutation():
+    m = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        m.permuted([0, 0], [0, 1])
+    with pytest.raises(ValueError):
+        m.permuted([0, 1], [1, 2])
+    assert m.permuted([1, 0], [0, 1]).to_dense() == [[3, 4], [1, 2]]
+
+
 def test_snf_with_large_entries_stays_exact():
     big = 10**30
     m = SparseIntMatrix.from_dense([[big, big + 1], [1, 2]])
