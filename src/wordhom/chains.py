@@ -205,13 +205,7 @@ class Chain:
                 )
         out: dict[Word, int] = {}
         for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                val = out.get(word, 0) + c1 * c2
-                if val:
-                    out[word] = val
-                else:
-                    out.pop(word, None)
+            add_terms(out, {w1 + w2: c2 for w2, c2 in other._terms.items()}, c1)
         return Chain(self.alphabet, self.degree + other.degree, out, _validated=True)
 
     def appearing_symbols(self) -> set:

@@ -19,8 +19,9 @@ strictly increase their minimum, and fills the prefix blocks recursively
 over an extended base.
 
 Both recursions work on plain ``{word: coeff}`` dicts through the kernels
-``chains.add_terms`` and ``chains.add_boundary``, and each filler builds a
-``Chain`` only for its final filling.
+``chains.add_terms`` and ``chains.add_boundary``.  They share one prefix-block
+step (``_fill_blocks``), one cone (``_cone``) and one certificate assembly
+(``_certificate``), which checks every filling word and builds one ``Chain``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class FillCertificate:
     steps: tuple
 
     def __post_init__(self):
-        if self.filling.boundary() != self.input_cycle:
+        if not self.check():
             raise InternalInvariantBroken(
                 "certificate does not validate: boundary(filling) != cycle"
             )
@@ -70,6 +71,36 @@ class FillCertificate:
 def _require_cycle(c: Chain):
     if not c.boundary().is_zero():
         raise NotACycle("the chain is not a cycle", degree=c.degree)
+
+
+def _fill_blocks(groups: dict, fill) -> dict:
+    """Sum of ``fill(block, suffix)`` with the suffix appended, over the prefix
+    blocks ``{suffix: {prefix: coeff}}`` in suffix order; each must be a cycle."""
+    z: dict = {}
+    for suffix, block in sorted(groups.items()):
+        faces: dict = {}
+        add_boundary(faces, block)
+        if faces:
+            raise InternalInvariantBroken("a prefix block failed to be a cycle", suffix=suffix)
+        # Words of different blocks end in different suffixes, so they never collide.
+        z.update({word + suffix: coeff for word, coeff in fill(block, suffix).items()})
+    return z
+
+
+def _cone(out: dict, work: dict, x, symbol_json, degree: int, steps: list, depth: int) -> dict:
+    """out += x·work, logged as a cone step; returns out."""
+    add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
+    steps.append({"action": "cone", "symbol": symbol_json, "degree": degree, "depth": depth})
+    return out
+
+
+def _certificate(c: Chain, terms: dict, steps: list, stays, message: str) -> FillCertificate:
+    """The certificate of the filling ``terms``, each of whose words must pass ``stays``."""
+    for word in terms:
+        if not stays(word):
+            raise InternalInvariantBroken(message, word=c.alphabet.word_to_json(word))
+    filling = Chain(c.alphabet, c.degree + 1, terms, _validated=True)
+    return FillCertificate(c, filling, tuple(steps))
 
 
 def fill_absent(c: Chain, x) -> FillCertificate:
@@ -111,11 +142,8 @@ def fill_injective(c: Chain) -> FillCertificate:
     _require_cycle(c)
     steps: list = []
     terms = _fill_inj(dict(c.terms()), frozenset(range(1, m + 1)), steps, depth=0)
-    for word in terms:
-        if len(set(word)) != len(word):
-            raise InternalInvariantBroken("a filling word repeats a letter", word=word)
-    filling = Chain(alphabet, c.degree + 1, terms, _validated=True)
-    return FillCertificate(c, filling, tuple(steps))
+    message = "a filling word repeats a letter"
+    return _certificate(c, terms, steps, lambda w: len(set(w)) == len(w), message)
 
 
 def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
@@ -125,8 +153,7 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
     n = len(next(iter(work)))
     if n == 0:
         y = min(allowed)
-        steps.append({"action": "cone", "symbol": y, "degree": 0, "depth": depth})
-        return {(y,): work[()]}
+        return _cone({}, work, y, y, 0, steps, depth)
     if n >= len(allowed):
         raise InternalInvariantBroken(
             "recursion left too few symbols to fill with", degree=n
@@ -136,26 +163,18 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
     out: dict = {}
     present = True
     for stage in range(n):
-        # Group the terms carrying x at this index by their suffix after x.
+        # Group the terms carrying x at this index by their suffix from x on.
         groups: dict[tuple, dict] = {}
         for word, coeff in work.items():
             if word[stage] == x:
-                groups.setdefault(word[stage + 1 :], {})[word[:stage]] = coeff
+                groups.setdefault(word[stage:], {})[word[:stage]] = coeff
         if groups:
-            for suffix in sorted(groups):
-                block = groups[suffix]
-                faces: dict = {}
-                add_boundary(faces, block)
-                if faces:
-                    raise InternalInvariantBroken(
-                        "a prefix block failed to be a cycle", suffix=suffix
-                    )
-                sub_allowed = allowed - {x} - set(suffix)
-                tail = (x,) + suffix
-                filled = _fill_inj(block, sub_allowed, steps, depth + 1)
-                z = {word + tail: coeff for word, coeff in filled.items()}
-                add_terms(out, z)
-                add_boundary(work, z, -1)
+            z = _fill_blocks(
+                groups,
+                lambda block, suffix: _fill_inj(block, allowed - set(suffix), steps, depth + 1),
+            )
+            add_terms(out, z)
+            add_boundary(work, z, -1)
             steps.append(
                 {
                     "action": "push",
@@ -180,8 +199,7 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
     if present:
         raise InternalInvariantBroken("the pivot letter was never eliminated")
     if work:
-        add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
-        steps.append({"action": "cone", "symbol": x, "degree": n, "depth": depth})
+        _cone(out, work, x, x, n, steps, depth)
     return out
 
 
@@ -253,14 +271,8 @@ def fill_gp(
     ]
     candidates = relation.extension_candidates()
     terms = _fill_gp(dict(c.terms()), relation, base, candidates, steps, depth=0)
-    for word in terms:
-        if not relation.gp(word, base):
-            raise InternalInvariantBroken(
-                "the filling left the general-position subcomplex",
-                word=alphabet.word_to_json(word),
-            )
-    filling = Chain(alphabet, c.degree + 1, terms, _validated=True)
-    return FillCertificate(c, filling, tuple(steps))
+    message = "the filling left the general-position subcomplex"
+    return _certificate(c, terms, steps, lambda w: relation.gp(w, base), message)
 
 
 def _pick(relation, candidates, reference, context):
@@ -283,15 +295,7 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
     n = len(next(iter(work)))
     if n == 0:
         y = _pick(relation, candidates, base, "degree-zero cone")
-        steps.append(
-            {
-                "action": "cone",
-                "symbol": alphabet.symbol_to_json(y),
-                "degree": 0,
-                "depth": depth,
-            }
-        )
-        return {(y,): work[()]}
+        return _cone({}, work, y, alphabet.symbol_to_json(y), 0, steps, depth)
 
     x = _pick(relation, candidates, base, "pivot choice")
     out: dict = {}
@@ -314,8 +318,8 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
             raise InternalInvariantBroken(
                 "the prefix invariant failed to reach the degree", degree=n
             )
-        z: dict = {}
         if invariant == 0:
+            z: dict = {}
             for word, coeff in sorted(work.items()):
                 y = _pick(relation, candidates, (x,) + word + base, "term cone")
                 z[(y,) + word] = coeff
@@ -325,17 +329,12 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
             for word, coeff in work.items():
                 if levels[word] == invariant:
                     groups.setdefault(word[invariant:], {})[word[:invariant]] = coeff
-            for suffix in sorted(groups):
-                block = groups[suffix]
-                faces: dict = {}
-                add_boundary(faces, block)
-                if faces:
-                    raise InternalInvariantBroken(
-                        "a prefix block failed to be a cycle", suffix=suffix
-                    )
-                extended_base = (x,) + suffix + base
-                filled = _fill_gp(block, relation, extended_base, candidates, steps, depth + 1)
-                add_terms(z, {word + suffix: coeff for word, coeff in filled.items()})
+            z = _fill_blocks(
+                groups,
+                lambda block, suffix: _fill_gp(
+                    block, relation, (x,) + suffix + base, candidates, steps, depth + 1
+                ),
+            )
             blocks = len(groups)
         add_terms(out, z)
         add_boundary(work, z, -1)
@@ -350,13 +349,5 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
         )
 
     if work:
-        add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
-        steps.append(
-            {
-                "action": "cone",
-                "symbol": alphabet.symbol_to_json(x),
-                "degree": n,
-                "depth": depth,
-            }
-        )
+        _cone(out, work, x, alphabet.symbol_to_json(x), n, steps, depth)
     return out

@@ -27,10 +27,10 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from math import isqrt
 
 from .alphabet import Alphabet, Word
 from .errors import InvalidInput, PreconditionViolated
+from .linalg import require_prime
 
 
 def gp_inj(x, y) -> bool:
@@ -205,8 +205,7 @@ def gp_vec(x, y, p: int, dim: int | None = None) -> bool:
     entry itself to be nonzero).  Entries are reduced mod p first; p must be
     a prime int.
     """
-    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise InvalidInput("the modulus must be a prime integer", p=p)
+    require_prime(p)
     entries = [tuple(v) for v in x] + [tuple(v) for v in y]
     if dim is None:
         if not entries:

@@ -32,7 +32,9 @@ either direction.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, isqrt
+
+from .errors import InvalidInput
 
 
 class SparseIntMatrix:
@@ -278,8 +280,16 @@ def rank(mat: SparseIntMatrix) -> int:
     return len(smith_normal_form(mat))
 
 
+def require_prime(p) -> None:
+    """Raise InvalidInput unless p is a prime int (not a bool), by trial division."""
+    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InvalidInput("the modulus must be a prime integer", p=p)
+
+
 def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
-    """Rank over F_p; used as a cross-check of the exact rank, never instead of it."""
+    """Rank over F_p for a prime int p; used as a cross-check of the exact rank,
+    never instead of it."""
+    require_prime(p)
     pivots: dict[int, dict[int, int]] = {}
     rank_count = 0
     rows: dict[int, dict[int, int]] = {}
@@ -300,7 +310,7 @@ def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
                     else:
                         current.pop(j, None)
             else:
-                inv = pow(current[c], p - 2, p)
+                inv = pow(current[c], -1, p)
                 pivots[c] = {j: (v * inv) % p for j, v in current.items()}
                 rank_count += 1
                 break

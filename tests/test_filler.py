@@ -9,6 +9,7 @@ from wordhom import (
     Chain,
     GeneralPositionExhausted,
     InjectiveRelation,
+    InternalInvariantBroken,
     InvalidInput,
     NotACycle,
     OutOfRange,
@@ -21,6 +22,7 @@ from wordhom import (
     homology_table,
     i_invariant,
 )
+from wordhom.filler import _cone, _fill_blocks
 from conftest import random_gp_chain
 
 A5 = Alphabet.letters(5)
@@ -305,3 +307,29 @@ def test_certificate_json_round_trip():
     assert payload["valid"] is True
     assert Chain.from_json(payload["input"]) == c
     assert Chain.from_json(payload["filling"]).boundary() == c
+
+
+# -- the shared steps -------------------------------------------------------------
+
+def test_fill_blocks_refuses_a_block_that_is_not_a_cycle():
+    # (1) - (4) is a cycle; (1) alone has boundary () and is not.  Blocks are
+    # filled in suffix order, so the cycle is filled and the other is refused.
+    filled = []
+
+    def fill(block, suffix):
+        filled.append(suffix)
+        return {}
+
+    groups = {(3,): {(1,): 1}, (2,): {(1,): 1, (4,): -1}}
+    with pytest.raises(InternalInvariantBroken, match="prefix block") as info:
+        _fill_blocks(groups, fill)
+    assert info.value.context == {"suffix": (3,)}
+    assert filled == [(2,)]
+
+
+def test_cone_prepends_its_symbol_and_logs_one_step():
+    out = {(5, 1): 2}
+    steps: list = []
+    assert _cone(out, {(1,): 3, (2,): -1}, 4, 4, 1, steps, 2) is out
+    assert out == {(5, 1): 2, (4, 1): 3, (4, 2): -1}
+    assert steps == [{"action": "cone", "symbol": 4, "degree": 1, "depth": 2}]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wordhom import (
+    InvalidInput,
     PermutationGroup,
     SparseIntMatrix,
     bar_boundary,
@@ -149,6 +150,14 @@ def test_rank_consistent_with_mod_p_ranks():
 def test_rank_of_known_matrix():
     m = SparseIntMatrix.from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert rank(m) == 2
+
+
+@pytest.mark.parametrize("p", [4, 6, 1, 0, 2.0, True])
+def test_rank_mod_p_rejects_a_modulus_that_is_not_a_prime_int(p):
+    # Checked before any elimination: over Z/4 this matrix used to loop forever,
+    # because 2 has no inverse mod 4.
+    with pytest.raises(InvalidInput):
+        rank_mod_p(SparseIntMatrix.from_dense([[2], [2]]), p)
 
 
 def test_mul_and_transpose():
