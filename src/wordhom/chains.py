@@ -7,9 +7,12 @@ are kept in canonical (lexicographic) order when iterated or serialized,
 which makes serialization injective on distinct chains.
 
 The boundary d(x_1, …, x_n) = Σ (−1)^(j+1) (…, x̂_j, …) has one kernel,
-``add_boundary``, which Chain.boundary, the fillers and the Morse kernel all
-call; it takes the faces from ``itertools.combinations``, last entry deleted
-first.
+``add_boundary``, which Chain.boundary and the fillers call; it takes the
+faces from ``itertools.combinations``, last entry deleted first.  Its
+single-word form, ``word_boundary``, serves the Morse kernel: the faces of a
+word with pairwise distinct entries cannot coincide, so their boundary is one
+dict of the faces against a precomputed sign tuple, and any other word falls
+back to ``add_boundary``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,30 @@ def add_boundary(out: dict, terms: dict, k: int = 1) -> None:
             else:
                 pop(face, None)
             c = -c
+
+
+# FACE_SIGNS[n]: the signs of the faces of a word of length n, in the order
+# combinations(word, n - 1) yields them: (-1)^(n-1), ..., -1, +1.
+FACE_SIGNS = tuple(tuple((-1) ** (n - 1 - i) for i in range(n)) for n in range(33))
+
+
+def word_boundary(word) -> dict:
+    """The boundary of one word, as a new {face: coeff} dict.
+
+    The single-word form of ``add_boundary``.  A word whose faces are
+    pairwise distinct, as they are when its entries are, has the boundary
+    ``dict(zip(faces, FACE_SIGNS[n]))`` with nothing to merge; any other
+    word, or one longer than FACE_SIGNS reaches, goes through
+    ``add_boundary``.
+    """
+    n = len(word)
+    if 0 < n < len(FACE_SIGNS):
+        faces = dict(zip(combinations(word, n - 1), FACE_SIGNS[n]))
+        if len(faces) == n:
+            return faces
+    out: dict = {}
+    add_boundary(out, {word: 1})
+    return out
 
 
 class Chain:

@@ -58,7 +58,7 @@ DEFAULT_SEED = 42
 # Longest --time-budget accepted, in seconds (about 31 years); the interval
 # timer behind it overflows above about 9.2e9 seconds.
 MAX_TIME_BUDGET = 1e9
-# Largest `homology inj --m`: m=8 takes seconds, m=9 a minute and a half and 1.6 GB.
+# Largest `homology inj --m`: m=8 takes seconds, m=9 about a minute and 1.6 GB.
 MAX_INJECTIVE_M = 8
 # Largest `derangements --m`: the count then has 2568 digits, below the 4300
 # that Python turns into a decimal string by default.

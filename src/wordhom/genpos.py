@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, Word
-from .errors import InvalidInput, PreconditionViolated
+from .errors import InternalInvariantBroken, InvalidInput, PreconditionViolated
 from .linalg import require_prime
 
 
@@ -252,6 +252,16 @@ class GeneralPositionRelation(ABC):
         """True when no candidate element is in general position to the word."""
         return not any(self.gp((e,), tuple(word)) for e in self.extension_candidates())
 
+    def least_blocking(self, universe: list, n: int):
+        """The lexicographically least blocking word of length n over the
+        sorted universe, or None: over sets when ``set_blocking``, else over
+        sequences, one ``is_blocking`` call each."""
+        if self.set_blocking:
+            words = itertools.combinations(universe, n)
+        else:
+            words = itertools.product(universe, repeat=n)
+        return next((tuple(w) for w in words if self.is_blocking(w)), None)
+
     def check_base(self, base) -> Word:
         """The base word, validated; PreconditionViolated unless gp(base; ())."""
         base = self.alphabet.check_word(base)
@@ -382,6 +392,62 @@ class VectorRelation(GeneralPositionRelation):
 
     def is_blocking(self, word) -> bool:
         return self._oracle.blocks([self._index(v) for v in word])
+
+    def least_blocking(self, universe: list, n: int):
+        """The lexicographically least blocking set of n points, or None.
+
+        The universe ``gp_order`` passes is every projective point, in the
+        order of their indices, so the walk runs on indices.  A blocking
+        set spans, and GL_dim(F_p) maps any basis inside it to the standard
+        one and preserves blocking, so a blocking n-set exists iff one
+        contains the standard basis; that is decided first.  Only then are
+        all n-sets walked, in lexicographic order.  Both searches carry
+        each prefix's forbidden mask.  The witness is checked once more
+        from scratch.
+        """
+        oracle = self._oracle
+        points = range(1, oracle.size + 1)
+        basis = [oracle.index([int(i == j) for i in range(self.dim)]) for j in range(self.dim)]
+        rest = [q for q in points if q not in basis]
+        if n < self.dim or _blocking_extension(oracle, basis, rest, n - self.dim) is None:
+            return None
+        witness = _blocking_extension(oracle, [], points, n)
+        if witness is None or not oracle.blocks(witness):
+            raise InternalInvariantBroken(
+                "the blocking search contradicts the basis search", n=n, witness=witness
+            )
+        return tuple(oracle.point(q) for q in witness)
+
+
+def _blocking_extension(oracle: _SpanOracle, points: list, candidates, n: int):
+    """The lexicographically least n of the candidates, distinct nonzero
+    points in increasing index order and none of them among the distinct
+    nonzero points given, that block together with them; None if there are
+    none.  A depth-first walk that carries each prefix's forbidden mask
+    through ``_SpanOracle.extend``."""
+    full = (1 << (oracle.size + 1)) - 1
+    mask = oracle.forbidden(points)
+    if not n:
+        return () if mask == full else None
+    last = len(candidates) - n
+    chosen: list = []  # positions in candidates of the points added so far
+    masks = [mask]  # masks[i]: the forbidden mask with the first i added
+    i = 0
+    while True:
+        if i > last + len(chosen):
+            if not chosen:
+                return None
+            i = chosen.pop() + 1
+            masks.pop()
+            continue
+        prefix = points + [candidates[j] for j in chosen]
+        grown = oracle.extend(masks[-1], prefix, candidates[i])
+        if len(chosen) + 1 < n:
+            chosen.append(i)
+            masks.append(grown)
+        elif grown == full:
+            return tuple(prefix[len(points) :]) + (candidates[i],)
+        i += 1
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -544,10 +610,12 @@ def gp_order(relation: GeneralPositionRelation, max_n: int | None = None) -> GpO
     lengths 0, 1, ... in order, so an exact answer always comes with a
     shortest witness (the lexicographically least one).  When no blocking
     word of length up to max_n exists the result is the lower bound
-    max_n + 1.  Relations that declare ``set_blocking`` are searched over
-    canonical sets, bounded by the number of candidates; otherwise all
-    sequences with repeats are enumerated, which needs max_n.  A negative
-    max_n is invalid input.
+    max_n + 1.  Each length is searched by the relation's
+    ``least_blocking``.  Relations that declare ``set_blocking`` are searched
+    over canonical sets, bounded by the number of candidates; otherwise all
+    sequences with repeats are enumerated, which needs max_n.  The vector
+    relation walks sets of points with their forbidden masks instead of
+    testing each set from scratch.  A negative max_n is invalid input.
     """
     universe = sorted(set(relation.extension_candidates()))
     if not universe:
@@ -560,11 +628,7 @@ def gp_order(relation: GeneralPositionRelation, max_n: int | None = None) -> GpO
         raise InvalidInput("the search bound must be nonnegative", max_n=max_n)
 
     for n in range(max_n + 1):
-        if relation.set_blocking:
-            candidates = itertools.combinations(universe, n)
-        else:
-            candidates = itertools.product(universe, repeat=n)
-        for word in candidates:
-            if relation.is_blocking(word):
-                return GpOrderResult(exact=True, value=n, witness=tuple(word))
+        witness = relation.least_blocking(universe, n)
+        if witness is not None:
+            return GpOrderResult(exact=True, value=n, witness=witness)
     return GpOrderResult(exact=False, value=max_n + 1, witness=None)

@@ -15,9 +15,14 @@ image R in it, memoised:
 The Morse boundary of a critical cell c is Σ [∂c:ρ]·R(ρ).  Images are
 computed with an explicit stack, and each cell is classified once, the first
 time it is met; d_k meets cells of degree k−1 only, so the memo holds one
-degree at a time.  A cell met again while its own image is still being
-computed means the matching has a cycle, and that, an incidence other than
-±1, or a classifier that contradicts itself raises InternalInvariantBroken.
+degree at a time.  Each face of a boundary is looked up in the memo once.
+Only critical and redundant faces contribute: a collapsible face is dropped
+when its boundary is read, so it never reaches a sum, and the images of the
+rest are summed in one pass.  ε comes from a lookup and σ is skipped, so the
+boundary dicts are read but never copied or written.  A cell met again while
+its own image is still being computed means the matching has a cycle, and
+that, an incidence other than ±1, or a classifier that contradicts itself
+raises InternalInvariantBroken.
 
 ``injective_morse_complex`` applies the kernel to the paper's cone w ↔ a·w
 on injective words, and ``grouphom`` to Brown's collapsing scheme on the bar
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .chains import add_boundary, add_terms
+from .chains import word_boundary
 from .complexes import ChainComplexRep
 from .errors import InternalInvariantBroken, InvalidInput
 from .linalg import SparseIntMatrix
@@ -37,8 +42,9 @@ CRITICAL = "critical"
 COLLAPSIBLE = "collapsible"
 REDUNDANT = "redundant"
 
-# Largest m for injective_morse_complex: m=9 took 93 s and 1.6 GB on a 2-core
-# host (CHANGES.md); the CLI stops at 8.
+# Largest m for injective_morse_complex: at m=9 the complex takes 10 s and
+# homology_table 44 s more, with a 1.6 GB peak, most of it the SNF's fill, on
+# a 2-core host (CHANGES.md); the CLI stops at 8.
 MAX_INJECTIVE_MORSE_M = 9
 
 
@@ -50,66 +56,91 @@ def morse_complex(critical, classify, boundary, *, complete, description=None) -
     None)`` or ``(CRITICAL, None)``, and ``boundary(cell)`` returns a
     ``{face: coeff}`` dict.  Cells of different degrees must differ, as words
     of different lengths do.  ``complete`` says whether the complex ends at
-    the last degree listed or is truncated there (see ``ChainComplexRep``).  Only the cells reached from the critical ones
-    are classified, each once, or expanded.
+    the last degree listed or is truncated there (see ``ChainComplexRep``).
+    Only the cells reached from the critical ones are classified, each
+    once, or expanded.
     """
-    images: dict = {}
-    partners: dict = {}  # redundant cell -> its partner, once classified
-    zero: dict = {}  # the image of every collapsible cell; never written
+    images: dict = {}  # cell -> its image; ``zero`` for every collapsible cell
+    partners: dict = {}  # redundant cell -> its partner, until it is expanded
+    pending: dict = {}  # expanded cell -> (its terms, −ε), while its image is being computed
+    zero: dict = {}  # never written
+    get = images.get
 
-    def unknown(cell) -> bool:
-        """Whether the cell's image is still to be computed.  A cell met for
-        the first time is classified once; a collapsible one maps to 0."""
-        if cell in images or cell in partners:
-            return cell not in images
-        kind, partner = classify(cell)
-        if kind == COLLAPSIBLE:
-            images[cell] = zero
-            return False
-        if kind != REDUNDANT:
-            raise InternalInvariantBroken("a critical cell is missing from the list", cell=cell)
-        partners[cell] = partner
-        return True
+    def read(faces, sigma=None):
+        """The faces of a boundary that can contribute, as ``(terms,
+        needed)``: terms lists (ρ, R(ρ), c) in boundary order, with R(ρ) None
+        while it is unknown, and needed lists those ρ.  Each face is looked
+        up once; one met for the first time is classified once, and a
+        collapsible one is memoised and dropped.  σ, the expanded cell, is
+        skipped, and meeting a cell that is being expanded is a cycle."""
+        terms = []
+        needed = []
+        for rho, c in faces.items():
+            image = get(rho)
+            if image is None:
+                if rho == sigma:
+                    continue
+                if rho in pending:
+                    raise InternalInvariantBroken("the matching has a cycle", cell=rho)
+                if rho not in partners:
+                    kind, partner = classify(rho)
+                    if kind == COLLAPSIBLE:
+                        images[rho] = zero
+                        continue
+                    if kind != REDUNDANT:
+                        raise InternalInvariantBroken(
+                            "a critical cell is missing from the list", cell=rho
+                        )
+                    partners[rho] = partner
+                needed.append(rho)
+            elif not image:
+                continue
+            terms.append((rho, image, c))
+        return terms, needed
 
-    def expand(sigma) -> dict:
-        """{ρ: −ε·[∂τ:ρ]} over the faces ρ ≠ σ of σ's partner τ."""
-        tau = partners.pop(sigma)
-        if classify(tau)[0] != COLLAPSIBLE:
-            raise InternalInvariantBroken("the partner of a cell is not collapsible", cell=sigma)
-        terms = dict(boundary(tau))
-        eps = terms.pop(sigma, 0)
-        if eps not in (1, -1):
-            raise InternalInvariantBroken(
-                "a matched incidence is not ±1", cell=sigma, incidence=eps
-            )
-        return {rho: -eps * c for rho, c in terms.items()}
-
-    def combine(terms) -> dict:
+    def combine(terms, k) -> dict:
+        """k·Σ c·R(ρ) over the terms; words that cancel are dropped."""
         total: dict = {}
-        for rho, c in terms.items():
-            add_terms(total, images[rho], c)
+        tget, tpop = total.get, total.pop
+        for rho, image, c in terms:
+            if image is None:
+                image = images[rho]
+            c *= k
+            for crit, v in image.items():
+                val = tget(crit, 0) + c * v
+                if val:
+                    total[crit] = val
+                else:
+                    tpop(crit, None)
         return total
 
     def flow(stack):
         """Memoise the images of the cells on the stack and of all they reach."""
-        pending: dict = {}  # cell -> its expansion, while its image is being computed
         while stack:
             sigma = stack[-1]
             if sigma in images:
                 stack.pop()
                 continue
-            terms = pending.get(sigma)
-            if terms is None:
-                terms = pending[sigma] = expand(sigma)
-                needed = [rho for rho in terms if unknown(rho)]
-                for rho in needed:
-                    if rho in pending:
-                        raise InternalInvariantBroken("the matching has a cycle", cell=rho)
+            entry = pending.pop(sigma, None)
+            if entry is None:
+                tau = partners.pop(sigma)
+                if classify(tau)[0] != COLLAPSIBLE:
+                    raise InternalInvariantBroken(
+                        "the partner of a cell is not collapsible", cell=sigma
+                    )
+                faces = boundary(tau)
+                eps = faces.get(sigma, 0)
+                if eps not in (1, -1):
+                    raise InternalInvariantBroken(
+                        "a matched incidence is not ±1", cell=sigma, incidence=eps
+                    )
+                terms, needed = read(faces, sigma)
                 if needed:
-                    stack.extend(needed)
+                    pending[sigma] = (terms, -eps)
+                    stack += needed
                     continue
-            images[sigma] = combine(terms)
-            del pending[sigma]
+                entry = terms, -eps
+            images[sigma] = combine(*entry)
             stack.pop()
 
     matrices = []
@@ -119,9 +150,10 @@ def morse_complex(critical, classify, boundary, *, complete, description=None) -
         images.update((cell, {cell: 1}) for cell in index)
         entries = {}
         for j, cell in enumerate(critical[k]):
-            terms = boundary(cell)
-            flow([rho for rho in terms if unknown(rho)])
-            for crit, v in combine(terms).items():
+            terms, needed = read(boundary(cell))
+            if needed:
+                flow(needed)
+            for crit, v in combine(terms, 1).items():
                 entries[index[crit], j] = v
         matrices.append(SparseIntMatrix(len(critical[k - 1]), len(critical[k]), entries))
     return ChainComplexRep(
@@ -173,13 +205,6 @@ def injective_critical_words(m: int, k: int) -> list:
             if rest[0] < first
         )
     return words
-
-
-def word_boundary(word) -> dict:
-    """The boundary of one word, as the fillers and Chain compute it."""
-    terms: dict = {}
-    add_boundary(terms, {word: 1})
-    return terms
 
 
 def injective_morse_complex(m: int) -> ChainComplexRep:

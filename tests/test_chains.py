@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from wordhom import Alphabet, Chain, DisjointnessViolation, InvalidInput
-from wordhom.chains import add_boundary
+from wordhom.chains import add_boundary, word_boundary
 from conftest import random_letter_chain, random_vector_chain
 
 A5 = Alphabet.letters(5)
@@ -15,6 +16,16 @@ def term(word, coeff=1, alphabet=A5):
 
 def test_boundary_of_pair():
     assert term((1, 2)).boundary() == term((2,)) - term((1,))
+
+
+def test_single_word_form_equals_add_boundary():
+    # Every word of length 0..6 over 4 letters, repeats included: the
+    # single-word form gives the same terms in the same order.
+    for n in range(7):
+        for word in itertools.product(range(1, 5), repeat=n):
+            out = {}
+            add_boundary(out, {word: 1})
+            assert list(word_boundary(word).items()) == list(out.items()), word
 
 
 def test_boundary_squared_on_triple():

@@ -249,6 +249,22 @@ def test_gp_order_injective_equals_alphabet_size():
         assert result.witness is not None and len(result.witness) == m
 
 
+# The lexicographically least blocking sets, as a scan of every combination
+# of points in order finds them.
+PINNED_WITNESSES = {
+    (5, 3): ((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 1, 3)),
+    (7, 3): ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 2), (1, 2, 1)),
+    (2, 5): (
+        (0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0),
+        (0, 0, 0, 1, 1),
+        (0, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "p,dim,expected",
     [
@@ -262,6 +278,9 @@ def test_gp_order_injective_equals_alphabet_size():
         (3, 3, 4),
         (2, 4, 5),
         (3, 4, 5),
+        (5, 3, 6),
+        (7, 3, 6),
+        (2, 5, 6),
     ],
 )
 def test_gp_order_vector_table(p, dim, expected):
@@ -269,6 +288,25 @@ def test_gp_order_vector_table(p, dim, expected):
     assert result.exact and result.value == expected
     assert result.witness is not None and len(result.witness) == expected
     assert VectorRelation(p, dim).is_blocking(result.witness)
+    if (p, dim) in PINNED_WITNESSES:
+        assert result.witness == PINNED_WITNESSES[p, dim]
+
+
+@pytest.mark.parametrize("p,dim", [(2, 1), (3, 1), (2, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_gp_order_vector_search_equals_a_combinations_scan(p, dim):
+    R = VectorRelation(p, dim)
+    points = R.projective_points()
+
+    def scan(max_n):
+        for n in range(max_n + 1):
+            for word in itertools.combinations(points, n):
+                if R.is_blocking(word):
+                    return True, n, word
+        return False, max_n + 1, None
+
+    for max_n in range(7):
+        result = gp_order(R, max_n)
+        assert (result.exact, result.value, result.witness) == scan(max_n), max_n
 
 
 def test_gp_order_witness_is_minimal():

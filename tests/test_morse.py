@@ -1,8 +1,11 @@
 """The algebraic-Morse kernel and the cone matching on injective words."""
 
+import hashlib
+import json
 import sys
 from itertools import permutations
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 
@@ -87,6 +90,14 @@ def test_matched_incidence_other_than_a_unit_is_refused():
         morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
 
 
+def test_critical_cell_missing_from_the_list_is_refused():
+    # v is critical by its class, but the degree-0 list leaves it out.
+    cells = {"v": (CRITICAL, None), "c": (CRITICAL, None)}
+    faces = {"c": {"v": 1}}
+    with pytest.raises(InternalInvariantBroken, match="missing"):
+        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
+
+
 def test_partner_that_is_not_collapsible_is_refused():
     cells = {"v": (REDUNDANT, "e"), "e": (CRITICAL, None), "c": (CRITICAL, None)}
     faces = {"e": {"v": 1}, "c": {"v": 1}}
@@ -118,3 +129,35 @@ def test_flows_deeper_than_the_recursion_limit():
     assert rep.dims == (1, 1)
     assert rep.boundary_matrix(1).is_zero()
     assert homology_table(rep) == {0: HomologyGroup(1), 1: HomologyGroup(1)}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_boundary_dicts_are_read_never_written(m):
+    # Every call for a word returns a read-only view of one shared dict.
+    shared = {}
+
+    def boundary(word):
+        view = shared.get(word)
+        if view is None:
+            view = shared[word] = MappingProxyType(word_boundary(word))
+        return view
+
+    rep = morse_complex(
+        [injective_critical_words(m, k) for k in range(m + 1)],
+        injective_classify,
+        boundary,
+        complete=True,
+    )
+    assert rep.boundaries == injective_morse_complex(m).boundaries
+
+
+def test_injective_morse_matrices_are_pinned():
+    """Each degree's matrix of m = 2..7, as sorted coordinates."""
+    digest = hashlib.sha256()
+    for m in range(2, 8):
+        rep = injective_morse_complex(m)
+        matrices = [rep.boundary_matrix(k).to_coordinates() for k in range(1, len(rep.dims))]
+        digest.update(json.dumps([m, rep.dims, matrices]).encode())
+    assert digest.hexdigest() == (
+        "fc2e03cd333d4ff45b1e978fecf2729f0ed659d100b6a8ad7ef2155a1deec082"
+    )
