@@ -9,14 +9,21 @@ Two fillers are provided.  ``fill_injective`` works in the injective-word
 complex below the top degree: it fixes the smallest letter appearing in the
 cycle and pushes it rightward, one index per stage, by subtracting
 boundaries, until the letter leaves the cycle entirely; a cone over the
-absent letter finishes the job.  Its filling is checked once for
-injectivity: every filling word must use each letter at most once.
+absent letter finishes the job.  Each stage makes one scan of the cycle,
+which groups the terms to push and checks that the letter has left the
+prefix cleared so far.  At stage 0 every prefix block is the empty word,
+filled by one cone over a free letter, and these cones are all made in one
+pass.  The finished filling is checked once for injectivity: every filling
+word must use each letter at most once.
 ``fill_gp`` does the analogous staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
 base word.  Each round computes every term's prefix invariant once, must
 strictly increase their minimum, and fills the prefix blocks recursively
-over an extended base.
+over an extended base.  Every symbol reaching ``fill_gp`` is validated once,
+when the cycle's ``Chain`` is built or the base is checked, so the fill asks
+general position through the relation's ``point_gp``: over vectors, on the
+indices of projective points, each symbol indexed once per fill.
 
 Both recursions work on plain ``{word: coeff}`` dicts through the kernels
 ``chains.add_terms`` and ``chains.add_boundary``.  They share one prefix-block
@@ -90,8 +97,12 @@ def _fill_blocks(groups: dict, fill) -> dict:
 def _cone(out: dict, work: dict, x, symbol_json, degree: int, steps: list, depth: int) -> dict:
     """out += x·work, logged as a cone step; returns out."""
     add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
-    steps.append({"action": "cone", "symbol": symbol_json, "degree": degree, "depth": depth})
+    steps.append(_cone_step(symbol_json, degree, depth))
     return out
+
+
+def _cone_step(symbol_json, degree: int, depth: int) -> dict:
+    return {"action": "cone", "symbol": symbol_json, "degree": degree, "depth": depth}
 
 
 def _certificate(c: Chain, terms: dict, steps: list, stays, message: str) -> FillCertificate:
@@ -161,43 +172,55 @@ def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
 
     x = min(min(word) for word in work)
     out: dict = {}
-    present = True
     for stage in range(n):
-        # Group the terms carrying x at this index by their suffix from x on.
+        # One scan groups the terms carrying x at this index by their suffix
+        # from x on, and checks that the earlier stages cleared x from the
+        # prefix before it.
         groups: dict[tuple, dict] = {}
+        later = False
         for word, coeff in work.items():
             if word[stage] == x:
                 groups.setdefault(word[stage:], {})[word[:stage]] = coeff
-        if groups:
+            elif x in word:
+                if x in word[:stage]:
+                    raise InternalInvariantBroken(
+                        "the pivot letter survived inside the cleared prefix",
+                        stage=stage - 1,
+                    )
+                later = True
+        if not groups:
+            # Nothing to push at this index; stop once x has left every term.
+            if later:
+                continue
+            break
+        if stage:
             z = _fill_blocks(
                 groups,
                 lambda block, suffix: _fill_inj(block, allowed - set(suffix), steps, depth + 1),
             )
-            add_terms(out, z)
-            add_boundary(work, z, -1)
-            steps.append(
-                {
-                    "action": "push",
-                    "symbol": x,
-                    "index": stage,
-                    "blocks": len(groups),
-                    "depth": depth,
-                }
-            )
-        present = False
-        for word in work:
-            if x in word:
-                if x in word[: stage + 1]:
-                    raise InternalInvariantBroken(
-                        "the pivot letter survived inside the cleared prefix",
-                        stage=stage,
-                    )
-                present = True
-        if not present:
-            break
-
-    if present:
-        raise InternalInvariantBroken("the pivot letter was never eliminated")
+        else:
+            # Each block is the empty prefix, a cycle as the empty word has no
+            # faces; its filling is the cone over the least letter it leaves.
+            z = {}
+            for suffix, block in sorted(groups.items()):
+                y = min(allowed - set(suffix))
+                z[(y,) + suffix] = block[()]
+                steps.append(_cone_step(y, 0, depth + 1))
+        add_terms(out, z)
+        add_boundary(work, z, -1)
+        steps.append(
+            {
+                "action": "push",
+                "symbol": x,
+                "index": stage,
+                "blocks": len(groups),
+                "depth": depth,
+            }
+        )
+    else:
+        # Every stage ran, so the cleared prefix is now the whole word.
+        if any(x in word for word in work):
+            raise InternalInvariantBroken("the pivot letter was never eliminated")
     if work:
         _cone(out, work, x, x, n, steps, depth)
     return out
@@ -215,15 +238,15 @@ def i_invariant(c: Chain, x, a, relation: GeneralPositionRelation) -> int:
     """
     value = c.degree
     for word, _ in c.terms():
-        value = min(value, _term_invariant(word, x, tuple(a), relation))
+        value = min(value, _term_invariant(word, x, tuple(a), relation.gp))
         if value == 0:
             break
     return value
 
 
-def _term_invariant(word, x, a, relation) -> int:
+def _term_invariant(word, x, a, gp) -> int:
     for i in range(len(word), -1, -1):
-        if relation.gp(word[:i], (x,) + word[i:] + a):
+        if gp(word[:i], (x,) + word[i:] + a):
             return i
     raise InternalInvariantBroken("empty prefixes must be in general position")
 
@@ -250,8 +273,12 @@ def fill_gp(
     if c.alphabet != alphabet:
         raise InvalidInput("the chain and the relation use different alphabets")
     base = relation.check_base(base)
+    # Every symbol of the fill is validated by now: the cycle's when its Chain
+    # was built, the base's just above, and the candidates are the relation's
+    # own.  So gp is decided on the relation's names for them.
+    gp = relation.point_gp()
     for word, _ in c.terms():
-        if not relation.gp(word, base):
+        if not gp(word, base):
             raise PreconditionViolated(
                 "a term of the cycle is not in general position to the base",
                 word=alphabet.word_to_json(word),
@@ -270,40 +297,40 @@ def fill_gp(
         }
     ]
     candidates = relation.extension_candidates()
-    terms = _fill_gp(dict(c.terms()), relation, base, candidates, steps, depth=0)
+    terms = _fill_gp(dict(c.terms()), gp, alphabet, base, candidates, steps, depth=0)
     message = "the filling left the general-position subcomplex"
-    return _certificate(c, terms, steps, lambda w: relation.gp(w, base), message)
+    return _certificate(c, terms, steps, lambda w: gp(w, base), message)
 
 
-def _pick(relation, candidates, reference, context):
+def _pick(gp, alphabet, candidates, reference, context):
     for e in candidates:
-        if relation.gp((e,), reference):
+        if gp((e,), reference):
             return e
     raise GeneralPositionExhausted(
         "no candidate element is in general position to the reference word; "
         "the degree bound was violated or the relation order overestimated",
         context=context,
-        reference=relation.alphabet.word_to_json(reference),
+        reference=alphabet.word_to_json(reference),
     )
 
 
-def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
-    """Terms of a filling of the cycle ``work``, which is used as scratch."""
+def _fill_gp(work: dict, gp, alphabet, base, candidates, steps, depth) -> dict:
+    """Terms of a filling of the cycle ``work``, which is used as scratch;
+    ``gp`` is the relation's ``point_gp``."""
     if not work:
         return {}
-    alphabet = relation.alphabet
     n = len(next(iter(work)))
     if n == 0:
-        y = _pick(relation, candidates, base, "degree-zero cone")
+        y = _pick(gp, alphabet, candidates, base, "degree-zero cone")
         return _cone({}, work, y, alphabet.symbol_to_json(y), 0, steps, depth)
 
-    x = _pick(relation, candidates, base, "pivot choice")
+    x = _pick(gp, alphabet, candidates, base, "pivot choice")
     out: dict = {}
     invariant = -1
     rounds = 0
     while work:
         # Each term's prefix invariant, computed once per round.
-        levels = {word: _term_invariant(word, x, base, relation) for word in work}
+        levels = {word: _term_invariant(word, x, base, gp) for word in work}
         before, invariant = invariant, min(levels.values())
         if invariant <= before:
             raise InternalInvariantBroken(
@@ -321,7 +348,7 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
         if invariant == 0:
             z: dict = {}
             for word, coeff in sorted(work.items()):
-                y = _pick(relation, candidates, (x,) + word + base, "term cone")
+                y = _pick(gp, alphabet, candidates, (x,) + word + base, "term cone")
                 z[(y,) + word] = coeff
             blocks = len(work)
         else:
@@ -332,7 +359,7 @@ def _fill_gp(work: dict, relation, base, candidates, steps, depth) -> dict:
             z = _fill_blocks(
                 groups,
                 lambda block, suffix: _fill_gp(
-                    block, relation, (x,) + suffix + base, candidates, steps, depth + 1
+                    block, gp, alphabet, (x,) + suffix + base, candidates, steps, depth + 1
                 ),
             )
             blocks = len(groups)

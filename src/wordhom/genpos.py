@@ -248,6 +248,15 @@ class GeneralPositionRelation(ABC):
         """
         return lambda word, s: self.gp(word + (s,), base)
 
+    def point_gp(self):
+        """A predicate equal to gp on words of alphabet symbols that the
+        caller has validated, for deciding many words over the same symbols.
+
+        This default is gp itself; a subclass may decide the predicate on
+        its own names for the symbols, validating each symbol once.
+        """
+        return self.gp
+
     def is_blocking(self, word) -> bool:
         """True when no candidate element is in general position to the word."""
         return not any(self.gp((e,), tuple(word)) for e in self.extension_candidates())
@@ -344,6 +353,23 @@ class VectorRelation(GeneralPositionRelation):
     def gp(self, x, y) -> bool:
         return self._oracle.in_position(
             [self._index(v) for v in x], [self._index(v) for v in y]
+        )
+
+    def point_gp(self):
+        """gp decided on point indices, memoised per call in a plain dict
+        keyed by the symbol, so it takes alphabet symbols only: a symbol
+        reaches ``_index`` and its validation on its first lookup.  The
+        zero vector's index 0 reads as a miss and is looked up again."""
+        in_position = self._oracle.in_position
+        indices: dict = {}
+        get = indices.get
+
+        def index(v):
+            q = indices[v] = self._index(v)
+            return q
+
+        return lambda x, y: in_position(
+            [get(v) or index(v) for v in x], [get(v) or index(v) for v in y]
         )
 
     def extension_rule(self, base):

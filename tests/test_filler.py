@@ -8,6 +8,7 @@ from wordhom import (
     Alphabet,
     Chain,
     GeneralPositionExhausted,
+    GeneralPositionRelation,
     InjectiveRelation,
     InternalInvariantBroken,
     InvalidInput,
@@ -22,6 +23,7 @@ from wordhom import (
     homology_table,
     i_invariant,
 )
+from wordhom import filler
 from wordhom.filler import _cone, _fill_blocks
 from conftest import random_gp_chain
 
@@ -121,6 +123,26 @@ def test_fill_injective_random_boundaries():
                 for word, _ in cert.filling.terms():
                     assert len(set(word)) == len(word)
                     assert set(word) <= set(letters)
+
+
+@pytest.mark.parametrize(
+    "top,message",
+    [
+        # d(1,2,3): the stage-1 push fills nothing, so 1 is still at index 1
+        # when the last stage has run.
+        ((1, 2, 3), "never eliminated"),
+        # d(1,2,3,4): the same push leaves 1 at index 1, inside the prefix
+        # the stage-2 scan requires to be clear.
+        ((1, 2, 3, 4), "survived inside the cleared prefix"),
+    ],
+)
+def test_fill_injective_refuses_a_pivot_that_stays(monkeypatch, top, message):
+    # Stage 0 cones its blocks itself; every later stage fills through
+    # _fill_blocks, which here fills nothing.
+    monkeypatch.setattr(filler, "_fill_blocks", lambda groups, fill: {})
+    cycle = term(top).boundary()
+    with pytest.raises(InternalInvariantBroken, match=message):
+        fill_injective(cycle)
 
 
 def test_fill_injective_output_is_pinned():
@@ -288,6 +310,77 @@ def test_fill_gp_output_is_pinned():
     assert digest.hexdigest() == (
         "047e2a60afa689e2e490665b2471c81ac219dddd0d32e0e0003854afbd01462f"
     )
+
+
+def test_fill_gp_output_is_pinned_on_scaled_symbols():
+    # A symbol and its nonzero multiples name one projective point, so a
+    # scaled entry such as (2, 4) = 2*(1, 2) must fill exactly as recorded.
+    # Bases of length 0-3 are drawn from scaled projective points, and the
+    # cycles' entries from every nonzero vector.
+    rng = random.Random(2033)
+    digest = hashlib.sha256()
+    scaled = 0
+    for p in (5, 7):
+        relation = VectorRelation(p, 2)
+        order = gp_order(relation).order
+        for l in range(4):
+            for _ in range(6):
+                points = rng.sample(relation.projective_points(), l)
+                lams = [rng.randrange(1, p) for _ in points]
+                base = tuple(tuple(lam * a % p for a in v) for lam, v in zip(lams, points))
+                n = rng.randint(1, (order - l - 1) // 2)
+                cycle = random_gp_chain(rng, relation, base, n + 1).boundary()
+                scaled += sum(1 for word, _ in cycle.terms() for v in word + base
+                              if next(a for a in v if a) != 1)
+                payload = fill_gp(cycle, relation, base, order_value=order).to_json()
+                digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert scaled
+    assert digest.hexdigest() == (
+        "238652f44c85e9f2f5fd835e6019d69a189d5323a181b685bb51de6c75fea4c1"
+    )
+
+
+def test_fill_gp_validates_symbols_once(monkeypatch):
+    # The fill decides gp on point indices: the one call of the relation's
+    # validating gp is check_base's, on the base word.
+    rng = random.Random(13)
+    R = VectorRelation(7, 2)
+    base = ((3, 6), (0, 5))
+    cycle = random_gp_chain(rng, R, base, 3).boundary()
+    calls = []
+    gp = VectorRelation.gp
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return gp(self, x, y)
+
+    monkeypatch.setattr(VectorRelation, "gp", counting)
+    cert = fill_gp(cycle, R, base, order_value=8)
+    assert cert.filling.boundary() == cycle
+    assert calls == [(base, ())]
+
+
+class Injective(GeneralPositionRelation):
+    """gp and extension_candidates only: the rest is the base class's."""
+
+    def __init__(self, m):
+        self.alphabet = Alphabet.letters(m)
+
+    def gp(self, x, y):
+        return len(set(x)) == len(x) and not set(x) & set(y)
+
+    def extension_candidates(self):
+        return self.alphabet.symbols()
+
+
+def test_fill_gp_over_a_minimal_relation():
+    R = Injective(6)
+    assert R.point_gp() == R.gp
+    cycle = Chain.term(R.alphabet, (1, 2, 3)).boundary()
+    cert = fill_gp(cycle, R, base=(6,), order_value=6)
+    assert cert.filling.boundary() == cycle
+    for word, _ in cert.filling.terms():
+        assert R.gp(word, (6,))
 
 
 def test_fill_gp_audit_log_records_bound_check():

@@ -171,6 +171,7 @@ def test_vector_relation_matches_brute_force(p, dim):
         return tuple(lam * a % p for a in rng.choice(points))
 
     outcomes = set()
+    point_gp = R.point_gp()
     for _ in range(120):
         word = [entry() for _ in range(rng.randint(0, 5))]
         if word and rng.random() < 0.3:
@@ -180,6 +181,7 @@ def test_vector_relation_matches_brute_force(p, dim):
         expected = _brute_gp(x, y, p, dim)
         outcomes.add(expected)
         assert R.gp(x, y) == expected, (x, y)
+        assert point_gp(x, y) == expected, (x, y)
         unreduced = [tuple(a + p * rng.randint(-2, 2) for a in v) for v in x]
         assert gp_vec(unreduced, y, p) == expected, (unreduced, y)
     assert outcomes == {True, False}
