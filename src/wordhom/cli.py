@@ -58,8 +58,9 @@ DEFAULT_SEED = 42
 # Longest --time-budget accepted, in seconds (about 31 years); the interval
 # timer behind it overflows above about 9.2e9 seconds.
 MAX_TIME_BUDGET = 1e9
-# Largest `homology inj --m`: m=8 takes seconds, m=9 about a minute and 1.6 GB.
-MAX_INJECTIVE_M = 8
+# Largest `homology inj --m`, the largest m whose matching a test searches for
+# gradient cycles; m=9 takes about 3 s and 115 MB.
+MAX_INJECTIVE_M = 9
 # Largest `derangements --m`: the count then has 2568 digits, below the 4300
 # that Python turns into a decimal string by default.
 MAX_DERANGEMENT_M = 1000
@@ -135,7 +136,7 @@ def _cmd_homology_inj(args) -> int:
         raise InvalidInput(
             f"injective-word complex supported for 1 <= m <= {MAX_INJECTIVE_M}", m=args.m
         )
-    # The Morse complex of the cone matching: the critical words only.
+    # The Morse complex of the derangement matching: the derangements only.
     groups = homology_table(injective_morse_complex(args.m))
     expected_rank = derangement_count(args.m)
     problems = [
@@ -146,6 +147,10 @@ def _cmd_homology_inj(args) -> int:
     top = groups[args.m]
     if top.free_rank != expected_rank or top.torsion:
         problems.append(f"H_{args.m} = {top} but Z^{expected_rank} was claimed")
+    # The Euler characteristic, which shares no code with the matching.
+    euler_rank = rank_formula(args.m)
+    if top.free_rank != euler_rank:
+        problems.append(f"H_{args.m} = {top} but the Euler characteristic gives rank {euler_rank}")
     verified = {"claim": f"trivial below degree {args.m}, free of rank {expected_rank} there"}
     payload = {"complex": {"kind": "injective", "m": args.m}}
     return _finish_homology(payload, groups, verified, problems, args)

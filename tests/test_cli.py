@@ -28,6 +28,28 @@ def test_homology_inj_table(capture):
     assert "H_0 = 0" in out and "H_3 = 0" in out
 
 
+def test_homology_inj_output_is_pinned(capture):
+    # The hash of every answer for m = 1..8, json and text: a change of matching
+    # or of kernel must leave it unchanged.
+    digest = hashlib.sha256()
+    for m in range(1, 9):
+        for fmt in ("json", "text"):
+            argv = ["homology", "inj", "--m", str(m), "--format", fmt]
+            code, out = capture(*argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == "c69e563bfb1af285fb9f3197ab709a72979777217e6dcbf0c38159e578a4341b"
+
+
+def test_homology_inj_checks_the_euler_characteristic(capture, monkeypatch):
+    # D_5 = 44; a closed form that disagrees with the matching's rank fails the run.
+    monkeypatch.setattr("wordhom.cli.rank_formula", lambda m: 45)
+    code, out = capture("homology", "inj", "--m", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "FAILED: ['H_5 = Z^44 but the Euler characteristic gives rank 45']"
+    )
+
+
 def test_homology_inj_json(capture):
     code, out = capture("homology", "inj", "--m", "3", "--format", "json")
     assert code == 0
@@ -366,7 +388,8 @@ def test_homology_gp_claim_covers_only_computed_degrees(capture):
 
 
 def test_time_budget_exits_resource_limit(capture):
-    code, out = capture("homology", "inj", "--m", "8", "--time-budget", "0.2")
+    # m = 9 takes seconds, so the budget runs out well before it ends.
+    code, out = capture("homology", "inj", "--m", "9", "--time-budget", "0.2")
     assert code == 3
     assert json.loads(out)["error"]["code"] == "resource-limit"
 
@@ -448,7 +471,7 @@ def test_handler_patched_after_the_parser_is_built_runs(capture, monkeypatch):
     assert calls == [3]
 
 
-@pytest.mark.parametrize("m", ["0", "9"])
+@pytest.mark.parametrize("m", ["0", "10"])
 def test_homology_inj_cap(capture, m):
     code, out = capture("homology", "inj", "--m", m)
     assert code == 2

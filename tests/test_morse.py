@@ -1,8 +1,7 @@
-"""The algebraic-Morse kernel and the cone matching on injective words."""
+"""The algebraic-Morse kernel and the derangement matching on injective words."""
 
-import hashlib
-import json
 import sys
+from functools import partial
 from itertools import permutations
 from math import factorial
 from types import MappingProxyType
@@ -10,10 +9,11 @@ from types import MappingProxyType
 import pytest
 
 from wordhom import InternalInvariantBroken, InvalidInput, build_injective, homology_table
-from wordhom.homology import HomologyGroup
+from wordhom.homology import HomologyGroup, derangement_count
 from wordhom.morse import (
     COLLAPSIBLE,
     CRITICAL,
+    MAX_INJECTIVE_MORSE_M,
     REDUNDANT,
     injective_classify,
     injective_critical_words,
@@ -30,18 +30,110 @@ def test_morse_table_equals_the_full_snf(m):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_critical_counts_are_falling_factorials(m):
+    """The critical counts are (0, ..., 0, D_m), and their Euler characteristic
+    is that of the m!/(m-k)! words of each degree k."""
     dims = injective_morse_complex(m).dims
-    assert dims[:2] == (0, 0)
-    assert list(dims[2:]) == [factorial(m) // factorial(m - k + 2) for k in range(2, m + 1)]
+    assert dims == (0,) * m + (derangement_count(m),)
+    euler = sum((-1) ** k * factorial(m) // factorial(m - k) for k in range(m + 1))
+    assert (-1) ** m * dims[m] == euler
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_critical_words_are_the_classified_ones(m):
     for k in range(m + 1):
         classified = [
-            w for w in permutations(range(1, m + 1), k) if injective_classify(w)[0] == CRITICAL
+            w for w in permutations(range(1, m + 1), k) if injective_classify(m, w)[0] == CRITICAL
         ]
         assert injective_critical_words(m, k) == classified, k
+
+
+def _collapse(word):
+    """The partner of a collapsible word, by the rule written out again: drop
+    x_i at the least index i with x_i = i or with i absent and i <= n+1."""
+    for i in range(1, len(word) + 2):
+        if i <= len(word) and word[i - 1] == i:
+            return word[: i - 1] + word[i:], i
+        if i not in word:
+            return None, i
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_derangement_matching_is_an_involution(m):
+    """Each redundant word's partner is collapsible, collapses back to the
+    word at the inserted index i, and has incidence (-1)^(i+1) on it."""
+    classify = partial(injective_classify, m)
+    partners = set()
+    collapsible = 0
+    for k in range(m + 1):
+        for w in permutations(range(1, m + 1), k):
+            kind, tau = classify(w)
+            if kind == COLLAPSIBLE:
+                collapsible += 1
+            if kind != REDUNDANT:
+                continue
+            assert classify(tau) == (COLLAPSIBLE, None)
+            back, i = _collapse(tau)
+            assert back == w
+            assert word_boundary(tau)[w] == (-1) ** (i + 1)
+            partners.add(tau)
+    assert len(partners) == collapsible
+
+
+def _gradient_cycle(classify, words):
+    """A cycle of the gradient graph, as a list of cells, or None.
+
+    The edges run from a redundant σ to every redundant face ρ ≠ σ of σ's
+    partner.  An iterative depth-first search, started from each of the words.
+    """
+    on_path, done = 1, 2
+    state = {}
+
+    def successors(sigma):
+        kind, tau = classify(sigma)
+        if kind != REDUNDANT:
+            return iter(())
+        return iter([r for r in word_boundary(tau) if r != sigma and classify(r)[0] == REDUNDANT])
+
+    for root in words:
+        if root in state:
+            continue
+        state[root] = on_path
+        path, stack = [root], [successors(root)]
+        while stack:
+            for rho in stack[-1]:
+                seen = state.get(rho)
+                if seen == on_path:
+                    return path[path.index(rho) :]
+                if seen is None:
+                    state[rho] = on_path
+                    path.append(rho)
+                    stack.append(successors(rho))
+                    break
+            else:
+                state[path.pop()] = done
+                stack.pop()
+    return None
+
+
+@pytest.mark.parametrize("m", range(1, MAX_INJECTIVE_MORSE_M + 1))
+def test_derangement_matching_has_no_gradient_cycle(m):
+    """Exhaustive up to the library's cap: no gradient path from any word
+    below degree m returns to itself, no such word is critical, and the
+    critical words of degree m are the permutations without a fixed point."""
+    classify = partial(injective_classify, m)
+    lower = [w for k in range(m) for w in permutations(range(1, m + 1), k)]
+    assert all(classify(w)[0] != CRITICAL for w in lower)
+    assert _gradient_cycle(classify, lower) is None
+    words = list(permutations(range(1, m + 1)))
+    top = [w for w in words if classify(w)[0] == CRITICAL]
+    assert top == [w for w in words if all(x != i for i, x in enumerate(w, 1))]
+
+
+def test_gradient_cycle_search_finds_a_planted_cycle():
+    _, classify, _ = _letter_by_letter(3)
+    words = [w for k in range(3) for w in permutations(range(1, 4), k)]
+    cycle = _gradient_cycle(classify, words)
+    assert cycle is not None and set(cycle) == {(2, 1), (3, 1)}
 
 
 def test_library_cap():
@@ -144,20 +236,8 @@ def test_boundary_dicts_are_read_never_written(m):
 
     rep = morse_complex(
         [injective_critical_words(m, k) for k in range(m + 1)],
-        injective_classify,
+        partial(injective_classify, m),
         boundary,
         complete=True,
     )
     assert rep.boundaries == injective_morse_complex(m).boundaries
-
-
-def test_injective_morse_matrices_are_pinned():
-    """Each degree's matrix of m = 2..7, as sorted coordinates."""
-    digest = hashlib.sha256()
-    for m in range(2, 8):
-        rep = injective_morse_complex(m)
-        matrices = [rep.boundary_matrix(k).to_coordinates() for k in range(1, len(rep.dims))]
-        digest.update(json.dumps([m, rep.dims, matrices]).encode())
-    assert digest.hexdigest() == (
-        "fc2e03cd333d4ff45b1e978fecf2729f0ed659d100b6a8ad7ef2155a1deec082"
-    )
