@@ -2,7 +2,7 @@
 
 Subcommands and the flags each one reads:
 
-  homology inj   --m (at most MAX_INJECTIVE_M)
+  homology inj   --m (at most morse.MAX_INJECTIVE_MORSE_M)
   homology full  --m --max-degree [--max-basis]
   homology gp    --m | --p --dim, [--base --max-degree --max-basis]
   fill           --input [--base (vector cycles only) --check]
@@ -58,9 +58,6 @@ DEFAULT_SEED = 42
 # Longest --time-budget accepted, in seconds (about 31 years); the interval
 # timer behind it overflows above about 9.2e9 seconds.
 MAX_TIME_BUDGET = 1e9
-# Largest `homology inj --m`, the largest m whose matching a test searches for
-# gradient cycles; m=9 takes about 3 s and 115 MB.
-MAX_INJECTIVE_M = 9
 # Largest `derangements --m`: the count then has 2568 digits, below the 4300
 # that Python turns into a decimal string by default.
 MAX_DERANGEMENT_M = 1000
@@ -132,11 +129,8 @@ def _finish_homology(payload, groups, verified, problems, args) -> int:
 
 
 def _cmd_homology_inj(args) -> int:
-    if not 1 <= args.m <= MAX_INJECTIVE_M:
-        raise InvalidInput(
-            f"injective-word complex supported for 1 <= m <= {MAX_INJECTIVE_M}", m=args.m
-        )
     # The Morse complex of the derangement matching: the derangements only.
+    # It refuses an m outside 1..MAX_INJECTIVE_MORSE_M with InvalidInput.
     groups = homology_table(injective_morse_complex(args.m))
     expected_rank = derangement_count(args.m)
     problems = [

@@ -6,16 +6,14 @@ along the way.  Certificates are validated on construction by re-applying
 the boundary operator; validity is never assumed.
 
 Two fillers are provided.  ``fill_injective`` works in the injective-word
-complex below the top degree: it fixes the smallest letter appearing in the
-cycle and pushes it rightward, one index per stage, by subtracting
-boundaries, until the letter leaves the cycle entirely; a cone over the
-absent letter finishes the job.  Each stage makes one scan of the cycle,
-which groups the terms to push and checks that the letter has left the
-prefix cleared so far.  At stage 0 every prefix block is the empty word,
-filled by one cone over a free letter, and these cones are all made in one
-pass.  The finished filling is checked once for injectivity: every filling
-word must use each letter at most once.
-``fill_gp`` does the analogous staircase in a general-position subcomplex,
+complex below the top degree, where the derangement matching
+(``morse.injective_classify``) has no critical word.  So its algebraic-Morse
+chain homotopy h (Sköldberg 2006) fills every cycle z there, ∂h(z) = z, with
+h(σ) = 0 for a collapsible σ and h(σ) = ε·τ − ε·Σ [∂τ:ρ]·h(ρ) over the faces
+ρ ≠ σ of the partner τ of a redundant σ, where ε = [∂τ:σ].  The checks of
+``morse.morse_complex`` hold here too, at every alphabet size, and every
+filling word must be injective.
+``fill_gp`` follows Kerz's staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
 base word.  Each round computes every term's prefix invariant once, must
@@ -24,18 +22,18 @@ over an extended base.  Every symbol reaching ``fill_gp`` is validated once,
 when the cycle's ``Chain`` is built or the base is checked, so the fill asks
 general position through the relation's ``point_gp``: over vectors, on the
 indices of projective points, each symbol indexed once per fill.
-
-Both recursions work on plain ``{word: coeff}`` dicts through the kernels
-``chains.add_terms`` and ``chains.add_boundary``.  They share one prefix-block
-step (``_fill_blocks``), one cone (``_cone``) and one certificate assembly
-(``_certificate``), which checks every filling word and builds one ``Chain``.
+``fill_gp`` recurses on plain ``{word: coeff}`` dicts through the kernels
+``chains.add_terms`` and ``chains.add_boundary``, with one prefix-block step
+(``_fill_blocks``) and one cone (``_cone``).  Both fillers end in one
+certificate assembly (``_certificate``), which checks every filling word and
+builds one ``Chain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import Chain, add_boundary, add_terms
+from .chains import Chain, add_boundary, add_terms, word_boundary
 from .errors import (
     GeneralPositionExhausted,
     InternalInvariantBroken,
@@ -45,6 +43,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .genpos import GeneralPositionRelation, gp_order
+from .morse import COLLAPSIBLE, REDUNDANT, injective_classify
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,8 @@ def _fill_blocks(groups: dict, fill) -> dict:
 def _cone(out: dict, work: dict, x, symbol_json, degree: int, steps: list, depth: int) -> dict:
     """out += x·work, logged as a cone step; returns out."""
     add_terms(out, {(x,) + word: coeff for word, coeff in work.items()})
-    steps.append(_cone_step(symbol_json, degree, depth))
+    steps.append({"action": "cone", "symbol": symbol_json, "degree": degree, "depth": depth})
     return out
-
-
-def _cone_step(symbol_json, degree: int, depth: int) -> dict:
-    return {"action": "cone", "symbol": symbol_json, "degree": degree, "depth": depth}
 
 
 def _certificate(c: Chain, terms: dict, steps: list, stays, message: str) -> FillCertificate:
@@ -152,77 +147,79 @@ def fill_injective(c: Chain) -> FillCertificate:
         )
     _require_cycle(c)
     steps: list = []
-    terms = _fill_inj(dict(c.terms()), frozenset(range(1, m + 1)), steps, depth=0)
+    terms = _homotopy(dict(c.terms()), m, steps)
     message = "a filling word repeats a letter"
     return _certificate(c, terms, steps, lambda w: len(set(w)) == len(w), message)
 
 
-def _fill_inj(work: dict, allowed: frozenset, steps: list, depth: int) -> dict:
-    """Terms of a filling of the cycle ``work``, which is used as scratch."""
-    if not work:
-        return {}
-    n = len(next(iter(work)))
-    if n == 0:
-        y = min(allowed)
-        return _cone({}, work, y, y, 0, steps, depth)
-    if n >= len(allowed):
-        raise InternalInvariantBroken(
-            "recursion left too few symbols to fill with", degree=n
-        )
+def _homotopy(work: dict, m: int, steps: list) -> dict:
+    """Σ c·h(w) over the terms c·w of ``work``, h the derangement matching's homotopy.
 
-    x = min(min(word) for word in work)
+    h(σ) needs h(ρ) only for the redundant faces ρ ≠ σ of σ's partner, so a
+    depth-first search from the chain's redundant words, with an explicit
+    stack, expands each word it reaches once; each word is classified the
+    first time it is met.  A word met again before its search has finished
+    means the matching has a cycle.  In reverse finishing order every word
+    comes after all the words that reach it, so one pass in that order meets
+    each coefficient c final and hands it on: the partner gets ε·c (partners
+    are distinct), and each other redundant face ρ loses ε·c·[∂τ:ρ].  A word
+    with c ≠ 0 is logged to ``steps`` as it is met, so the log replays h.
+    """
+    partner_of: dict = {}  # word met -> its partner, None if it is collapsible
+    expanded: dict = {}  # word -> (its partner, ε, its redundant faces)
+    active: set = set()  # expanded words whose search has not finished
+    finished: list = []
+
+    def redundant(faces, sigma=None) -> list:
+        """The (ρ, c) of ``faces`` with ρ ≠ σ redundant."""
+        terms = []
+        for rho, c in faces.items():
+            if rho not in partner_of:
+                kind, partner_of[rho] = injective_classify(m, rho)
+                if kind not in (COLLAPSIBLE, REDUNDANT):
+                    raise InternalInvariantBroken("a word below the top degree is critical", word=rho)
+            if partner_of[rho] and rho != sigma:
+                terms.append((rho, c))
+        return terms
+
+    roots = redundant(work)
+    stack = [rho for rho, _ in roots]
+    while stack:
+        sigma = stack.pop()
+        if sigma in active:
+            active.remove(sigma)
+            finished.append(sigma)
+            continue
+        if sigma in expanded:
+            continue
+        tau = partner_of[sigma]
+        if injective_classify(m, tau)[0] != COLLAPSIBLE:
+            raise InternalInvariantBroken("the partner of a word is not collapsible", word=sigma)
+        faces = word_boundary(tau)
+        eps = faces.get(sigma, 0)
+        if eps not in (1, -1):
+            raise InternalInvariantBroken("a matched incidence is not ±1", word=sigma, incidence=eps)
+        terms = redundant(faces, sigma)
+        for rho, _ in terms:
+            if rho in active:
+                raise InternalInvariantBroken("the matching has a cycle", word=rho)
+        expanded[sigma] = tau, eps, terms
+        active.add(sigma)
+        stack.append(sigma)  # met again once its faces' searches finish
+        stack += [rho for rho, _ in terms if rho not in expanded]
+
+    coeffs = dict(roots)
     out: dict = {}
-    for stage in range(n):
-        # One scan groups the terms carrying x at this index by their suffix
-        # from x on, and checks that the earlier stages cleared x from the
-        # prefix before it.
-        groups: dict[tuple, dict] = {}
-        later = False
-        for word, coeff in work.items():
-            if word[stage] == x:
-                groups.setdefault(word[stage:], {})[word[:stage]] = coeff
-            elif x in word:
-                if x in word[:stage]:
-                    raise InternalInvariantBroken(
-                        "the pivot letter survived inside the cleared prefix",
-                        stage=stage - 1,
-                    )
-                later = True
-        if not groups:
-            # Nothing to push at this index; stop once x has left every term.
-            if later:
-                continue
-            break
-        if stage:
-            z = _fill_blocks(
-                groups,
-                lambda block, suffix: _fill_inj(block, allowed - set(suffix), steps, depth + 1),
-            )
-        else:
-            # Each block is the empty prefix, a cycle as the empty word has no
-            # faces; its filling is the cone over the least letter it leaves.
-            z = {}
-            for suffix, block in sorted(groups.items()):
-                y = min(allowed - set(suffix))
-                z[(y,) + suffix] = block[()]
-                steps.append(_cone_step(y, 0, depth + 1))
-        add_terms(out, z)
-        add_boundary(work, z, -1)
-        steps.append(
-            {
-                "action": "push",
-                "symbol": x,
-                "index": stage,
-                "blocks": len(groups),
-                "depth": depth,
-            }
-        )
-    else:
-        # Every stage ran, so the cleared prefix is now the whole word.
-        if any(x in word for word in work):
-            raise InternalInvariantBroken("the pivot letter was never eliminated")
-    if work:
-        _cone(out, work, x, x, n, steps, depth)
+    for sigma in reversed(finished):
+        c = coeffs.pop(sigma, 0)
+        if c:
+            tau, eps, terms = expanded[sigma]
+            # The words themselves, not lists: json writes a tuple as an array.
+            steps.append({"action": "match", "word": sigma, "partner": tau, "incidence": eps})
+            c *= eps
+            out[tau] = c
+            for rho, d in terms:
+                coeffs[rho] = coeffs.get(rho, 0) - c * d
     return out
 
 

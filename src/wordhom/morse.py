@@ -175,9 +175,11 @@ def injective_classify(m: int, word):
     at position i, with incidence (−1)^{i+1}; the partner's least index is
     again i, so this is an involution.  Below degree m some i ≤ n+1 is
     absent, so only permutations without a fixed point, the derangements,
-    are critical.  Acyclicity is checked, not proven:
+    are critical, and ``filler.fill_injective`` fills lower cycles with
+    this matching's homotopy.  Acyclicity is checked, not proven:
     ``tests/test_morse.py::test_derangement_matching_has_no_gradient_cycle``
-    searches every gradient path for each m up to MAX_INJECTIVE_MORSE_M.
+    searches every gradient path for each m up to MAX_INJECTIVE_MORSE_M,
+    and above it the filler checks at run time each path it walks.
     """
     for i, x in enumerate(word, 1):
         if x == i:

@@ -1,10 +1,13 @@
-"""Shared test helpers: random chain generators and a naive normal-form oracle."""
+"""Shared test helpers: random chain generators, a naive normal-form oracle and
+a matching on injective words that has a gradient cycle."""
 
 import os
 import pathlib
 import random
+from itertools import permutations
 
 from wordhom import Alphabet, Chain
+from wordhom.morse import COLLAPSIBLE, CRITICAL, REDUNDANT
 
 
 def subprocess_env():
@@ -16,6 +19,31 @@ def subprocess_env():
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def letter_by_letter_matching(m):
+    """Match w with a·w for a = 1, 2, ... in turn, among the words earlier letters left.
+
+    This matching is not acyclic: at m=3 it pairs (2,1) with (3,2,1) and
+    (3,1) with (2,3,1), and (2,1)→(3,2,1)→(3,1)→(2,3,1)→(2,1) is a cycle.
+    """
+    left = {w for k in range(m + 1) for w in permutations(range(1, m + 1), k)}
+    partner = {}
+    for a in range(1, m + 1):
+        for w in sorted(left, key=len):
+            up = (a,) + w
+            if a not in w and w in left and up in left:
+                partner[w] = up
+                left -= {w, up}
+    down = set(partner.values())
+
+    def classify(w):
+        if w in partner:
+            return REDUNDANT, partner[w]
+        return (COLLAPSIBLE if w in down else CRITICAL), None
+
+    critical = [sorted(w for w in left if len(w) == k) for k in range(m + 1)]
+    return critical, classify, partner
 
 
 def random_letter_chain(rng, m, degree, max_terms=3, coeff=4, injective=False):

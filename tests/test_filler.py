@@ -24,8 +24,10 @@ from wordhom import (
     i_invariant,
 )
 from wordhom import filler
+from wordhom.chains import word_boundary
 from wordhom.filler import _cone, _fill_blocks
-from conftest import random_gp_chain
+from wordhom.morse import COLLAPSIBLE, CRITICAL, REDUNDANT, injective_classify
+from conftest import letter_by_letter_matching, random_gp_chain
 
 A5 = Alphabet.letters(5)
 
@@ -125,24 +127,91 @@ def test_fill_injective_random_boundaries():
                     assert set(word) <= set(letters)
 
 
+def test_fill_injective_refuses_a_cyclic_matching(monkeypatch):
+    # The letter-by-letter matching pairs (2,1) with (3,2,1) and (3,1) with
+    # (2,3,1), a gradient cycle that d(3,2,1) reaches.  d(1,2,3) does not: its
+    # faces' partners have no other redundant face, so it still fills.
+    _, classify, _ = letter_by_letter_matching(3)
+    monkeypatch.setattr(filler, "injective_classify", lambda m, w: classify(w))
+    A3 = Alphabet.letters(3)
+    with pytest.raises(InternalInvariantBroken, match="the matching has a cycle"):
+        fill_injective(Chain.term(A3, (3, 2, 1)).boundary())
+    cycle = Chain.term(A3, (1, 2, 3)).boundary()
+    assert fill_injective(cycle).filling.boundary() == cycle
+
+
+def _doubled_boundary(word):
+    return {face: 2 * c for face, c in word_boundary(word).items()}
+
+
 @pytest.mark.parametrize(
-    "top,message",
+    "classify,boundary,message",
     [
-        # d(1,2,3): the stage-1 push fills nothing, so 1 is still at index 1
-        # when the last stage has run.
-        ((1, 2, 3), "never eliminated"),
-        # d(1,2,3,4): the same push leaves 1 at index 1, inside the prefix
-        # the stage-2 scan requires to be clear.
-        ((1, 2, 3, 4), "survived inside the cleared prefix"),
+        # every incidence doubled: (2,3) is matched with (1,2,3) at incidence 2
+        (injective_classify, _doubled_boundary, "incidence"),
+        # (2,3) is matched with (1,3,2), which does not have it as a face
+        (
+            lambda m, w: (REDUNDANT, (1, 3, 2)) if w == (2, 3) else injective_classify(m, w),
+            word_boundary,
+            "incidence",
+        ),
+        (lambda m, w: (CRITICAL, None), word_boundary, "critical"),
+        # (1,2,3), the partner of (2,3), is classified redundant
+        (
+            lambda m, w: (REDUNDANT, w + (4,)) if len(w) == 3 else injective_classify(m, w),
+            word_boundary,
+            "partner",
+        ),
     ],
 )
-def test_fill_injective_refuses_a_pivot_that_stays(monkeypatch, top, message):
-    # Stage 0 cones its blocks itself; every later stage fills through
-    # _fill_blocks, which here fills nothing.
-    monkeypatch.setattr(filler, "_fill_blocks", lambda groups, fill: {})
-    cycle = term(top).boundary()
+def test_fill_injective_refuses_a_broken_matching(monkeypatch, classify, boundary, message):
+    monkeypatch.setattr(filler, "injective_classify", classify)
+    monkeypatch.setattr(filler, "word_boundary", boundary)
     with pytest.raises(InternalInvariantBroken, match=message):
-        fill_injective(cycle)
+        fill_injective(Chain.term(Alphabet.letters(4), (1, 2, 3)).boundary())
+
+
+def test_fill_injective_over_forty_letters():
+    # A word of degree n is matched by inserting some i <= n+1, so a filling
+    # uses only the cycle's letters and 1..n+1, however large the alphabet;
+    # the same cycle filled twice gives the same certificate.
+    A40 = Alphabet.letters(40)
+    rng = random.Random(2040)
+    for n in range(1, 5):
+        for _ in range(5):
+            words = [tuple(rng.sample(range(1, 41), n + 1)) for _ in range(2)]
+            cycle = Chain(A40, n + 1, {w: rng.randint(1, 3) for w in words}).boundary()
+            cert = fill_injective(cycle)
+            allowed = cycle.appearing_symbols() | set(range(1, n + 2))
+            assert cert.filling.appearing_symbols() <= allowed
+            assert fill_injective(cycle).to_json() == cert.to_json()
+
+
+def test_fill_injective_steps_replay_the_filling():
+    # Replayed in order, each step hands its word's coefficient c on: the
+    # partner gets incidence·c, and every other face ρ of the partner loses
+    # incidence·c·[∂ partner:ρ].  That rebuilds the filling and leaves
+    # nonzero coefficients on collapsible words only, where h is 0.
+    rng = random.Random(2041)
+    for m in (5, 7):
+        alphabet = Alphabet.letters(m)
+        for _ in range(30):
+            n = rng.randint(1, m - 1)
+            words = [tuple(rng.sample(range(1, m + 1), n + 1)) for _ in range(3)]
+            cycle = Chain(alphabet, n + 1, {w: rng.randint(1, 3) for w in words}).boundary()
+            cert = fill_injective(cycle)
+            coeffs = dict(cycle.terms())
+            filling = {}
+            for step in cert.steps:
+                assert step["action"] == "match"
+                sigma, tau = tuple(step["word"]), tuple(step["partner"])
+                c = step["incidence"] * coeffs.pop(sigma)
+                filling[tau] = c
+                for rho, d in word_boundary(tau).items():
+                    if rho != sigma:
+                        coeffs[rho] = coeffs.get(rho, 0) - c * d
+            assert Chain(alphabet, n + 1, filling) == cert.filling
+            assert all(injective_classify(m, w)[0] == COLLAPSIBLE for w, c in coeffs.items() if c)
 
 
 def test_fill_injective_output_is_pinned():
@@ -164,7 +233,7 @@ def test_fill_injective_output_is_pinned():
             payload = fill_injective(cycle).to_json()
             digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "8088d3152da56aeb5c44ebbffbe3314f3cf36766f8917a6d6bd3f91f86bdae21"
+        "47ebce38bc1efe7d6e4b3bcc8b89377bd40abf0d029501720c96fd3e211eecad"
     )
 
 

@@ -21,6 +21,7 @@ from wordhom.morse import (
     morse_complex,
     word_boundary,
 )
+from conftest import letter_by_letter_matching
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -130,7 +131,7 @@ def test_derangement_matching_has_no_gradient_cycle(m):
 
 
 def test_gradient_cycle_search_finds_a_planted_cycle():
-    _, classify, _ = _letter_by_letter(3)
+    _, classify, _ = letter_by_letter_matching(3)
     words = [w for k in range(3) for w in permutations(range(1, 4), k)]
     cycle = _gradient_cycle(classify, words)
     assert cycle is not None and set(cycle) == {(2, 1), (3, 1)}
@@ -142,33 +143,8 @@ def test_library_cap():
             injective_morse_complex(m)
 
 
-def _letter_by_letter(m):
-    """Match w with a·w for a = 1, 2, ... in turn, among the words earlier letters left.
-
-    This matching is not acyclic: at m=3 it pairs (2,1) with (3,2,1) and
-    (3,1) with (2,3,1), and (2,1)→(3,2,1)→(3,1)→(2,3,1)→(2,1) is a cycle.
-    """
-    left = {w for k in range(m + 1) for w in permutations(range(1, m + 1), k)}
-    partner = {}
-    for a in range(1, m + 1):
-        for w in sorted(left, key=len):
-            up = (a,) + w
-            if a not in w and w in left and up in left:
-                partner[w] = up
-                left -= {w, up}
-    down = set(partner.values())
-
-    def classify(w):
-        if w in partner:
-            return REDUNDANT, partner[w]
-        return (COLLAPSIBLE if w in down else CRITICAL), None
-
-    critical = [sorted(w for w in left if len(w) == k) for k in range(m + 1)]
-    return critical, classify, partner
-
-
 def test_cyclic_matching_is_refused_not_recursed():
-    critical, classify, partner = _letter_by_letter(3)
+    critical, classify, partner = letter_by_letter_matching(3)
     assert partner[(2, 1)] == (3, 2, 1) and partner[(3, 1)] == (2, 3, 1)
     with pytest.raises(InternalInvariantBroken, match="cycle"):
         morse_complex(critical, classify, word_boundary, complete=True)
