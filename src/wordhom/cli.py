@@ -40,7 +40,7 @@ import sys
 from .chains import Chain
 
 # build_injective is no longer called here: the benchmark tracer hooks this
-# name in wordhom.cli until the counters move into the package (ROADMAP item 5).
+# name in wordhom.cli until the counters move into the package (ROADMAP item 3).
 from .complexes import build_full, build_gp, build_injective  # noqa: F401
 from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit, WordhomError
 from .filler import fill_gp, fill_injective

@@ -8,11 +8,10 @@ the boundary operator; validity is never assumed.
 Two fillers are provided.  ``fill_injective`` works in the injective-word
 complex below the top degree, where the derangement matching
 (``morse.injective_classify``) has no critical word.  So its algebraic-Morse
-chain homotopy h (Sköldberg 2006) fills every cycle z there, ∂h(z) = z, with
-h(σ) = 0 for a collapsible σ and h(σ) = ε·τ − ε·Σ [∂τ:ρ]·h(ρ) over the faces
-ρ ≠ σ of the partner τ of a redundant σ, where ε = [∂τ:σ].  The checks of
-``morse.morse_complex`` hold here too, at every alphabet size, and every
-filling word must be injective.
+chain homotopy h (Sköldberg 2006) fills every cycle z there, ∂h(z) = z;
+``morse.morse_homotopy`` sums it along the same gradient walk as the Morse
+complex, with the same checks, at every alphabet size.  Every filling word
+must be injective.
 ``fill_gp`` follows Kerz's staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
@@ -32,6 +31,7 @@ builds one ``Chain``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .chains import Chain, add_boundary, add_terms, word_boundary
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .genpos import GeneralPositionRelation, gp_order
-from .morse import COLLAPSIBLE, REDUNDANT, injective_classify
+from .morse import injective_classify, morse_homotopy
 
 
 @dataclass(frozen=True)
@@ -146,81 +146,15 @@ def fill_injective(c: Chain) -> FillCertificate:
             m=m,
         )
     _require_cycle(c)
-    steps: list = []
-    terms = _homotopy(dict(c.terms()), m, steps)
+    terms, matched = morse_homotopy(dict(c.terms()), partial(injective_classify, m), word_boundary)
+    # One step per word that h is summed from, in order, so the log replays h;
+    # the words themselves, not lists: json writes a tuple as an array.
+    steps = [
+        {"action": "match", "word": sigma, "partner": tau, "incidence": eps}
+        for sigma, tau, eps in matched
+    ]
     message = "a filling word repeats a letter"
     return _certificate(c, terms, steps, lambda w: len(set(w)) == len(w), message)
-
-
-def _homotopy(work: dict, m: int, steps: list) -> dict:
-    """Σ c·h(w) over the terms c·w of ``work``, h the derangement matching's homotopy.
-
-    h(σ) needs h(ρ) only for the redundant faces ρ ≠ σ of σ's partner, so a
-    depth-first search from the chain's redundant words, with an explicit
-    stack, expands each word it reaches once; each word is classified the
-    first time it is met.  A word met again before its search has finished
-    means the matching has a cycle.  In reverse finishing order every word
-    comes after all the words that reach it, so one pass in that order meets
-    each coefficient c final and hands it on: the partner gets ε·c (partners
-    are distinct), and each other redundant face ρ loses ε·c·[∂τ:ρ].  A word
-    with c ≠ 0 is logged to ``steps`` as it is met, so the log replays h.
-    """
-    partner_of: dict = {}  # word met -> its partner, None if it is collapsible
-    expanded: dict = {}  # word -> (its partner, ε, its redundant faces)
-    active: set = set()  # expanded words whose search has not finished
-    finished: list = []
-
-    def redundant(faces, sigma=None) -> list:
-        """The (ρ, c) of ``faces`` with ρ ≠ σ redundant."""
-        terms = []
-        for rho, c in faces.items():
-            if rho not in partner_of:
-                kind, partner_of[rho] = injective_classify(m, rho)
-                if kind not in (COLLAPSIBLE, REDUNDANT):
-                    raise InternalInvariantBroken("a word below the top degree is critical", word=rho)
-            if partner_of[rho] and rho != sigma:
-                terms.append((rho, c))
-        return terms
-
-    roots = redundant(work)
-    stack = [rho for rho, _ in roots]
-    while stack:
-        sigma = stack.pop()
-        if sigma in active:
-            active.remove(sigma)
-            finished.append(sigma)
-            continue
-        if sigma in expanded:
-            continue
-        tau = partner_of[sigma]
-        if injective_classify(m, tau)[0] != COLLAPSIBLE:
-            raise InternalInvariantBroken("the partner of a word is not collapsible", word=sigma)
-        faces = word_boundary(tau)
-        eps = faces.get(sigma, 0)
-        if eps not in (1, -1):
-            raise InternalInvariantBroken("a matched incidence is not ±1", word=sigma, incidence=eps)
-        terms = redundant(faces, sigma)
-        for rho, _ in terms:
-            if rho in active:
-                raise InternalInvariantBroken("the matching has a cycle", word=rho)
-        expanded[sigma] = tau, eps, terms
-        active.add(sigma)
-        stack.append(sigma)  # met again once its faces' searches finish
-        stack += [rho for rho, _ in terms if rho not in expanded]
-
-    coeffs = dict(roots)
-    out: dict = {}
-    for sigma in reversed(finished):
-        c = coeffs.pop(sigma, 0)
-        if c:
-            tau, eps, terms = expanded[sigma]
-            # The words themselves, not lists: json writes a tuple as an array.
-            steps.append({"action": "match", "word": sigma, "partner": tau, "incidence": eps})
-            c *= eps
-            out[tau] = c
-            for rho, d in terms:
-                coeffs[rho] = coeffs.get(rho, 0) - c * d
-    return out
 
 
 # -- general position --------------------------------------------------------

@@ -4,30 +4,35 @@ An acyclic matching pairs cells σ in degree k with cells τ in degree k+1
 whose incidence [∂τ:σ] is ±1; every cell is critical, redundant (matched
 with a partner one degree up) or collapsible (matched one degree down).  The
 Morse complex has the critical cells as its basis and the same homology
-(Forman 1998; Sköldberg 2006; Jöllenbeck–Welker 2009).  Each cell has an
-image R in it, memoised:
+(Forman 1998; Sköldberg 2006; Jöllenbeck–Welker 2009).
 
-  - a critical cell maps to itself;
-  - a collapsible cell maps to 0;
-  - a redundant σ with partner τ maps to −ε·Σ [∂τ:ρ]·R(ρ) over the faces
-    ρ ≠ σ of τ, where ε = [∂τ:σ].
+Both uses of a matching follow its gradient paths, from a redundant σ with
+partner τ to the redundant faces ρ ≠ σ of τ, and one walk follows them.  It
+classifies each cell once, the first time it is met, expands each redundant
+cell it reaches once, with an explicit stack, and hands the expanded cells
+on in finishing order, each with its τ, ε = [∂τ:σ] and the faces of τ that
+are not collapsible.  A cell met again before its own walk has finished
+closes a cycle of the matching; that, an incidence other than ±1, a partner
+that is not collapsible or a critical cell not in the list raises
+InternalInvariantBroken.  The boundary dicts are read, never written.  Two
+passes read the walk:
 
-The Morse boundary of a critical cell c is Σ [∂c:ρ]·R(ρ).  Images are
-computed with an explicit stack, and each cell is classified once, the first
-time it is met; d_k meets cells of degree k−1 only, so the memo holds one
-degree at a time.  Each face of a boundary is looked up in the memo once.
-Only critical and redundant faces contribute: a collapsible face is dropped
-when its boundary is read, so it never reaches a sum, and the images of the
-rest are summed in one pass.  ε comes from a lookup and σ is skipped, so the
-boundary dicts are read but never copied or written.  A cell met again while
-its own image is still being computed means the matching has a cycle, and
-that, an incidence other than ±1, or a classifier that contradicts itself
-raises InternalInvariantBroken.
+  - ``morse_complex`` memoises, in finishing order, each cell's image R in
+    the Morse complex: a critical cell maps to itself, a collapsible one to
+    0, and a redundant σ to −ε·Σ [∂τ:ρ]·R(ρ) over the faces ρ ≠ σ of τ.
+    The Morse boundary of a critical c is Σ [∂c:ρ]·R(ρ).  d_k meets cells
+    of degree k−1 only, so the memo holds one degree, and a cell of image 0
+    is dropped from later reads like a collapsible one.
+  - ``morse_homotopy`` sums the chain homotopy h, with h(σ) = 0 for a
+    collapsible σ and h(σ) = ε·τ − ε·Σ [∂τ:ρ]·h(ρ) for a redundant one.
+    In reverse finishing order each coefficient is final when it is met,
+    and is pushed on to τ and the other faces.
 
-``injective_morse_complex`` applies the kernel to the derangement matching
-on injective words, whose only critical cells are the derangements, all in
-the top degree (Farmer's theorem), and ``grouphom`` to Brown's collapsing
-scheme on the bar complex of a group.
+``injective_morse_complex`` applies the Morse complex to the derangement
+matching on injective words, whose only critical cells are the
+derangements, all in the top degree (Farmer's theorem), and
+``filler.fill_injective`` the homotopy; ``grouphom`` applies the Morse
+complex to Brown's collapsing scheme on the bar complex of a group.
 """
 
 from __future__ import annotations
@@ -44,10 +49,84 @@ CRITICAL = "critical"
 COLLAPSIBLE = "collapsible"
 REDUNDANT = "redundant"
 
-# Largest m for injective_morse_complex: at m=9 the flow reads all 362,880
+# A walk's state for a cell it has met is the cell's partner while the cell
+# is redundant and not yet expanded, or one of these.
+_DROP = object()  # collapsible, or of image 0 in morse_complex: reads drop it
+_ACTIVE = object()  # expanded, and some cell it reaches is not yet finished
+_DONE = object()  # finished, or a listed critical cell
+
+# Largest m for injective_morse_complex: at m=9 the walk reads all 362,880
 # words of degree 8 in about 3 s with a 115 MB peak on a 2-core host; m=10
 # would read ten times as many.
 MAX_INJECTIVE_MORSE_M = 9
+
+
+def _walker(classify, boundary, seen: dict):
+    """The gradient walk of a matching, as ``(read, walk)``.
+
+    ``read(faces)`` returns the (ρ, c) of a ``{face: coeff}`` dict whose ρ
+    is not collapsible, and the redundant ρ among them not yet expanded.
+    ``walk(cells)`` expands those and all they reach, and yields each
+    expanded σ as [σ, τ, ε, read(∂τ) without σ] once all it reaches have
+    been yielded.  ``seen`` holds the state of each cell met, so one walk
+    goes on from where another stopped; the caller may set a listed
+    critical cell to ``_DONE``, and a yielded one to ``_DROP``.
+    """
+    get = seen.get
+
+    def read(faces, sigma=None):
+        terms = []
+        needed = []
+        for rho, c in faces.items():
+            state = get(rho)
+            if state is None:
+                kind, state = classify(rho)
+                if kind == COLLAPSIBLE:
+                    seen[rho] = _DROP
+                    continue
+                if kind != REDUNDANT:
+                    raise InternalInvariantBroken(
+                        "a critical cell is missing from the list", cell=rho
+                    )
+                seen[rho] = state
+                needed.append(rho)
+            elif state is _DROP:
+                continue
+            elif state is _ACTIVE:
+                if rho == sigma:
+                    continue
+                raise InternalInvariantBroken("the matching has a cycle", cell=rho)
+            elif state is not _DONE:
+                needed.append(rho)
+            terms.append((rho, c))
+        return terms, needed
+
+    def walk(stack):
+        while stack:
+            sigma = stack.pop()
+            if type(sigma) is list:  # an expanded cell whose faces have finished
+                seen[sigma[0]] = _DONE
+                yield sigma
+                continue
+            tau = seen[sigma]
+            if tau is _DONE or tau is _DROP:
+                continue
+            if classify(tau)[0] != COLLAPSIBLE:
+                raise InternalInvariantBroken(
+                    "the partner of a cell is not collapsible", cell=sigma
+                )
+            faces = boundary(tau)
+            eps = faces.get(sigma, 0)
+            if eps not in (1, -1):
+                raise InternalInvariantBroken(
+                    "a matched incidence is not ±1", cell=sigma, incidence=eps
+                )
+            seen[sigma] = _ACTIVE
+            terms, needed = read(faces, sigma)
+            stack.append([sigma, tau, eps, terms])  # cells are hashable, so never lists
+            stack += needed
+
+    return read, walk
 
 
 def morse_complex(critical, classify, boundary, *, complete, description=None) -> ChainComplexRep:
@@ -59,103 +138,25 @@ def morse_complex(critical, classify, boundary, *, complete, description=None) -
     ``{face: coeff}`` dict.  Cells of different degrees must differ, as words
     of different lengths do.  ``complete`` says whether the complex ends at
     the last degree listed or is truncated there (see ``ChainComplexRep``).
-    Only the cells reached from the critical ones are classified, each
-    once, or expanded.
     """
-    images: dict = {}  # cell -> its image; ``zero`` for every collapsible cell
-    partners: dict = {}  # redundant cell -> its partner, until it is expanded
-    pending: dict = {}  # expanded cell -> (its terms, −ε), while its image is being computed
     zero: dict = {}  # never written
-    get = images.get
-
-    def read(faces, sigma=None):
-        """The faces of a boundary that can contribute, as ``(terms,
-        needed)``: terms lists (ρ, R(ρ), c) in boundary order, with R(ρ) None
-        while it is unknown, and needed lists those ρ.  Each face is looked
-        up once; one met for the first time is classified once, and a
-        collapsible one is memoised and dropped.  σ, the expanded cell, is
-        skipped, and meeting a cell that is being expanded is a cycle."""
-        terms = []
-        needed = []
-        for rho, c in faces.items():
-            image = get(rho)
-            if image is None:
-                if rho == sigma:
-                    continue
-                if rho in pending:
-                    raise InternalInvariantBroken("the matching has a cycle", cell=rho)
-                if rho not in partners:
-                    kind, partner = classify(rho)
-                    if kind == COLLAPSIBLE:
-                        images[rho] = zero
-                        continue
-                    if kind != REDUNDANT:
-                        raise InternalInvariantBroken(
-                            "a critical cell is missing from the list", cell=rho
-                        )
-                    partners[rho] = partner
-                needed.append(rho)
-            elif not image:
-                continue
-            terms.append((rho, image, c))
-        return terms, needed
-
-    def combine(terms, k) -> dict:
-        """k·Σ c·R(ρ) over the terms; words that cancel are dropped."""
-        total: dict = {}
-        tget, tpop = total.get, total.pop
-        for rho, image, c in terms:
-            if image is None:
-                image = images[rho]
-            c *= k
-            for crit, v in image.items():
-                val = tget(crit, 0) + c * v
-                if val:
-                    total[crit] = val
-                else:
-                    tpop(crit, None)
-        return total
-
-    def flow(stack):
-        """Memoise the images of the cells on the stack and of all they reach."""
-        while stack:
-            sigma = stack[-1]
-            if sigma in images:
-                stack.pop()
-                continue
-            entry = pending.pop(sigma, None)
-            if entry is None:
-                tau = partners.pop(sigma)
-                if classify(tau)[0] != COLLAPSIBLE:
-                    raise InternalInvariantBroken(
-                        "the partner of a cell is not collapsible", cell=sigma
-                    )
-                faces = boundary(tau)
-                eps = faces.get(sigma, 0)
-                if eps not in (1, -1):
-                    raise InternalInvariantBroken(
-                        "a matched incidence is not ±1", cell=sigma, incidence=eps
-                    )
-                terms, needed = read(faces, sigma)
-                if needed:
-                    pending[sigma] = (terms, -eps)
-                    stack += needed
-                    continue
-                entry = terms, -eps
-            images[sigma] = combine(*entry)
-            stack.pop()
-
     matrices = []
     for k in range(1, len(critical)):
         index = {cell: i for i, cell in enumerate(critical[k - 1])}
-        images.clear()
-        images.update((cell, {cell: 1}) for cell in index)
+        images = {cell: {cell: 1} for cell in index}
+        seen = dict.fromkeys(index, _DONE)
+        read, walk = _walker(classify, boundary, seen)
         entries = {}
         for j, cell in enumerate(critical[k]):
             terms, needed = read(boundary(cell))
-            if needed:
-                flow(needed)
-            for crit, v in combine(terms, 1).items():
+            for sigma, _, eps, faces in walk(needed):
+                image = _combine(images, faces, -eps)
+                if image:
+                    images[sigma] = image
+                else:  # later reads drop it, as they drop a collapsible cell
+                    images[sigma] = zero
+                    seen[sigma] = _DROP
+            for crit, v in _combine(images, terms, 1).items():
                 entries[index[crit], j] = v
         matrices.append(SparseIntMatrix(len(critical[k - 1]), len(critical[k]), entries))
     return ChainComplexRep(
@@ -164,6 +165,45 @@ def morse_complex(critical, classify, boundary, *, complete, description=None) -
         complete=complete,
         description=description,
     )
+
+
+def _combine(images, terms, k) -> dict:
+    """k·Σ c·R(ρ) over the terms (ρ, c); words that cancel are dropped."""
+    total: dict = {}
+    tget, tpop = total.get, total.pop
+    for rho, c in terms:
+        c *= k
+        for crit, v in images[rho].items():
+            val = tget(crit, 0) + c * v
+            if val:
+                total[crit] = val
+            else:
+                tpop(crit, None)
+    return total
+
+
+def morse_homotopy(chain: dict, classify, boundary) -> tuple:
+    """h(z) for the ``{cell: coeff}`` chain z, h the matching's chain homotopy,
+    as a dict, and the (σ, τ, ε) it was summed from, in summing order.
+
+    Every cell of z must be collapsible or redundant.  A σ is listed when
+    its coefficient c is nonzero as the pass meets it: τ gets ε·c (partners
+    are distinct), and each other face ρ of τ loses ε·c·[∂τ:ρ].
+    """
+    read, walk = _walker(classify, boundary, {})
+    terms, needed = read(chain)
+    coeffs = dict(terms)
+    out: dict = {}
+    matched = []
+    for sigma, tau, eps, faces in reversed(list(walk(needed))):
+        c = coeffs.pop(sigma, 0)
+        if c:
+            matched.append((sigma, tau, eps))
+            c *= eps
+            out[tau] = c
+            for rho, d in faces:
+                coeffs[rho] = coeffs.get(rho, 0) - c * d
+    return out, matched
 
 
 def injective_classify(m: int, word):
@@ -179,7 +219,7 @@ def injective_classify(m: int, word):
     this matching's homotopy.  Acyclicity is checked, not proven:
     ``tests/test_morse.py::test_derangement_matching_has_no_gradient_cycle``
     searches every gradient path for each m up to MAX_INJECTIVE_MORSE_M,
-    and above it the filler checks at run time each path it walks.
+    and at any m the walk refuses a cycle on the paths it follows.
     """
     for i, x in enumerate(word, 1):
         if x == i:

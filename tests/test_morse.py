@@ -19,6 +19,7 @@ from wordhom.morse import (
     injective_critical_words,
     injective_morse_complex,
     morse_complex,
+    morse_homotopy,
     word_boundary,
 )
 from conftest import letter_by_letter_matching
@@ -143,34 +144,55 @@ def test_library_cap():
             injective_morse_complex(m)
 
 
-def test_cyclic_matching_is_refused_not_recursed():
+def _reduce(critical, classify, boundary):
+    morse_complex(critical, classify, boundary, complete=True)
+
+
+def _fill(critical, classify, boundary):
+    """The homotopy of the boundary of each critical cell of the top degree,
+    whose faces all lie in the degree below."""
+    for cell in critical[-1]:
+        morse_homotopy(boundary(cell), classify, boundary)
+
+
+# Both passes over the gradient walk refuse a broken matching the same way.
+both_passes = pytest.mark.parametrize(
+    "walk", [_reduce, _fill], ids=["morse_complex", "morse_homotopy"]
+)
+
+
+@both_passes
+def test_cyclic_matching_is_refused_not_recursed(walk):
     critical, classify, partner = letter_by_letter_matching(3)
     assert partner[(2, 1)] == (3, 2, 1) and partner[(3, 1)] == (2, 3, 1)
     with pytest.raises(InternalInvariantBroken, match="cycle"):
-        morse_complex(critical, classify, word_boundary, complete=True)
+        walk(critical, classify, word_boundary)
 
 
-def test_matched_incidence_other_than_a_unit_is_refused():
+@both_passes
+def test_matched_incidence_other_than_a_unit_is_refused(walk):
     # e is matched with v although [de : v] = 2; the critical c reaches v.
     cells = {"v": (REDUNDANT, "e"), "e": (COLLAPSIBLE, None), "c": (CRITICAL, None)}
     faces = {"e": {"v": 2}, "c": {"v": 1}, "v": {}}
     with pytest.raises(InternalInvariantBroken, match="incidence"):
-        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
+        walk([[], ["c"]], cells.__getitem__, faces.__getitem__)
 
 
-def test_critical_cell_missing_from_the_list_is_refused():
+@both_passes
+def test_critical_cell_missing_from_the_list_is_refused(walk):
     # v is critical by its class, but the degree-0 list leaves it out.
     cells = {"v": (CRITICAL, None), "c": (CRITICAL, None)}
     faces = {"c": {"v": 1}}
     with pytest.raises(InternalInvariantBroken, match="missing"):
-        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
+        walk([[], ["c"]], cells.__getitem__, faces.__getitem__)
 
 
-def test_partner_that_is_not_collapsible_is_refused():
+@both_passes
+def test_partner_that_is_not_collapsible_is_refused(walk):
     cells = {"v": (REDUNDANT, "e"), "e": (CRITICAL, None), "c": (CRITICAL, None)}
     faces = {"e": {"v": 1}, "c": {"v": 1}}
     with pytest.raises(InternalInvariantBroken, match="partner"):
-        morse_complex([[], ["c"]], cells.__getitem__, faces.__getitem__, complete=True)
+        walk([[], ["c"]], cells.__getitem__, faces.__getitem__)
 
 
 def test_flows_deeper_than_the_recursion_limit():
