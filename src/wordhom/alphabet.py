@@ -46,10 +46,6 @@ class Alphabet:
             raise InvalidInput("vector dimension must be between 1 and 6", dim=dim)
         return Alphabet(kind="vectors", p=p, dim=dim)
 
-    @property
-    def size(self) -> int:
-        return self.m if self.kind == "letters" else self.p**self.dim
-
     def symbols(self):
         """All symbols in canonical (sorted) order."""
         if self.kind == "letters":

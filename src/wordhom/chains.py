@@ -292,6 +292,6 @@ class Chain:
     def parse(text: str) -> "Chain":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
             raise InvalidInput(f"not valid JSON: {exc}") from exc
         return Chain.from_json(obj)

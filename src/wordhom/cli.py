@@ -109,7 +109,7 @@ def _parse_base(relation, raw):
     """The --base word (empty if not given), checked to be in general position."""
     try:
         obj = [] if raw is None else json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise InvalidInput(f"--base is not valid JSON: {exc}") from exc
     base = relation.alphabet.word_from_json(obj)
     relation.check_base(base)
@@ -198,14 +198,14 @@ def _cmd_homology_gp(args) -> int:
 # -- fill ---------------------------------------------------------------------
 
 def _cmd_fill(args) -> int:
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
     cycle = Chain.parse(raw)
     if cycle.alphabet.kind == "letters":
         if args.base is not None:

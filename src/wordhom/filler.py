@@ -20,7 +20,8 @@ strictly increase their minimum, and fills the prefix blocks recursively
 over an extended base.  Every symbol reaching ``fill_gp`` is validated once,
 when the cycle's ``Chain`` is built or the base is checked, so the fill asks
 general position through the relation's ``point_gp``: over vectors, on the
-indices of projective points, each symbol indexed once per fill.
+indices of projective points, read from the relation's symbol memo, so each
+symbol is indexed once per relation.
 ``fill_gp`` recurses on plain ``{word: coeff}`` dicts through the kernels
 ``chains.add_terms`` and ``chains.add_boundary``, with one prefix-block step
 (``_fill_blocks``) and one cone (``_cone``).  Both fillers end in one

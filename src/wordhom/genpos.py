@@ -356,18 +356,12 @@ class VectorRelation(GeneralPositionRelation):
         )
 
     def point_gp(self):
-        """gp decided on point indices, memoised per call in a plain dict
-        keyed by the symbol, so it takes alphabet symbols only: a symbol
-        reaches ``_index`` and its validation on its first lookup.  The
-        zero vector's index 0 reads as a miss and is looked up again."""
+        """gp decided on point indices read from the relation's symbol memo,
+        so it takes alphabet symbols only: a symbol in the memo is not
+        validated again, and a miss goes through ``_index``.  The zero
+        vector's index 0 reads as a miss and is looked up again."""
         in_position = self._oracle.in_position
-        indices: dict = {}
-        get = indices.get
-
-        def index(v):
-            q = indices[v] = self._index(v)
-            return q
-
+        get, index = self._indices.get, self._index
         return lambda x, y: in_position(
             [get(v) or index(v) for v in x], [get(v) or index(v) for v in y]
         )
@@ -377,16 +371,15 @@ class VectorRelation(GeneralPositionRelation):
 
         Masks are kept per word; the mask of a word is grown from its
         parent's the first time the word is passed.  Symbol indices are
-        memoised per rule, so the rule takes alphabet symbols only.
+        read from the relation's symbol memo, so the rule takes alphabet
+        symbols only.
         """
         oracle = self._oracle
-        indices: dict = {}
+        get, lookup = self._indices.get, self._index
 
         def index(v):
-            q = indices.get(v)
-            if q is None:
-                q = indices[v] = self._index(v)
-            return q
+            q = get(v)
+            return lookup(v) if q is None else q
 
         points = tuple({index(v) for v in base} - {0})
         # word -> (forbidden mask of word.base, distinct points of word.base)
@@ -433,11 +426,11 @@ class VectorRelation(GeneralPositionRelation):
         """
         oracle = self._oracle
         points = range(1, oracle.size + 1)
-        basis = [oracle.index([int(i == j) for i in range(self.dim)]) for j in range(self.dim)]
+        basis = tuple(oracle.index([int(i == j) for i in range(self.dim)]) for j in range(self.dim))
         rest = [q for q in points if q not in basis]
         if n < self.dim or _blocking_extension(oracle, basis, rest, n - self.dim) is None:
             return None
-        witness = _blocking_extension(oracle, [], points, n)
+        witness = _blocking_extension(oracle, (), points, n)
         if witness is None or not oracle.blocks(witness):
             raise InternalInvariantBroken(
                 "the blocking search contradicts the basis search", n=n, witness=witness
@@ -445,35 +438,26 @@ class VectorRelation(GeneralPositionRelation):
         return tuple(oracle.point(q) for q in witness)
 
 
-def _blocking_extension(oracle: _SpanOracle, points: list, candidates, n: int):
+def _blocking_extension(oracle: _SpanOracle, points: tuple, candidates, n: int):
     """The lexicographically least n of the candidates, distinct nonzero
     points in increasing index order and none of them among the distinct
     nonzero points given, that block together with them; None if there are
-    none.  A depth-first walk that carries each prefix's forbidden mask
-    through ``_SpanOracle.extend``."""
+    none.  A depth-first walk, n levels deep, that carries each prefix's
+    forbidden mask through ``_SpanOracle.extend``."""
     full = (1 << (oracle.size + 1)) - 1
-    mask = oracle.forbidden(points)
-    if not n:
-        return () if mask == full else None
-    last = len(candidates) - n
-    chosen: list = []  # positions in candidates of the points added so far
-    masks = [mask]  # masks[i]: the forbidden mask with the first i added
-    i = 0
-    while True:
-        if i > last + len(chosen):
-            if not chosen:
-                return None
-            i = chosen.pop() + 1
-            masks.pop()
-            continue
-        prefix = points + [candidates[j] for j in chosen]
-        grown = oracle.extend(masks[-1], prefix, candidates[i])
-        if len(chosen) + 1 < n:
-            chosen.append(i)
-            masks.append(grown)
-        elif grown == full:
-            return tuple(prefix[len(points) :]) + (candidates[i],)
-        i += 1
+
+    def walk(mask, chosen, start, left):
+        if not left:
+            return chosen if mask == full else None
+        prefix = points + chosen
+        for i in range(start, len(candidates) - left + 1):
+            q = candidates[i]
+            found = walk(oracle.extend(mask, prefix, q), chosen + (q,), i + 1, left - 1)
+            if found is not None:
+                return found
+        return None
+
+    return walk(oracle.forbidden(points), (), 0, n)
 
 
 # -- axiom checking ----------------------------------------------------------

@@ -157,11 +157,30 @@ def test_fill_rejects_non_cycle(tmp_path, capture):
     assert json.loads(out)["error"]["code"] == "not-a-cycle"
 
 
-def test_fill_rejects_malformed_json(tmp_path, capture):
+LONG_COEFF = (
+    b'{"alphabet": {"kind": "letters", "m": 3}, "degree": 1, "terms": '
+    b'[{"coeff": ' + b"1" * 5000 + b', "word": [1]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "raw,error",
+    [
+        (b"{not json", "invalid-input"),
+        (b"\xff\xfe", "invalid-input"),
+        # Past the interpreter's int digit limit json.loads raises a plain
+        # ValueError; without the limit the chain is read and is no cycle.
+        (LONG_COEFF, None),
+    ],
+    ids=["not-json", "not-utf8", "long-coeff"],
+)
+def test_fill_rejects_malformed_json(tmp_path, capture, raw, error):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
+    path.write_bytes(raw)
     code, out = capture("fill", "--input", str(path))
     assert code == 2
+    reported = json.loads(out)["error"]
+    assert error is None or reported["code"] == error
 
 
 LETTERS_3 = {"kind": "letters", "m": 3}
@@ -238,14 +257,23 @@ def test_homology_gp_checks_base_before_order_search(capture, monkeypatch):
     assert json.loads(out)["error"]["code"] == "precondition-violated"
 
 
+LONG_BASE = "[[" + "1" * 5000 + ", 0]]"
+
+
 @pytest.mark.parametrize(
     "flags,base",
-    [(("--p", "5", "--dim", "2"), "[[1, 0], [2, 0]]"), (("--m", "4"), "[2, 2]")],
+    [
+        (("--p", "5", "--dim", "2"), "[[1, 0], [2, 0]]"),
+        (("--m", "4"), "[2, 2]"),
+        pytest.param(("--p", "5", "--dim", "2"), LONG_BASE, id="long-entry"),
+    ],
 )
 def test_homology_gp_rejects_base_not_in_general_position(capture, flags, base):
     code, out = capture("homology", "gp", *flags, "--base", base)
     assert code == 2
-    assert json.loads(out)["error"]["code"] == "precondition-violated"
+    # Past the int digit limit json.loads fails; without it 11...1 is no residue mod 5.
+    expected = "invalid-input" if base == LONG_BASE else "precondition-violated"
+    assert json.loads(out)["error"]["code"] == expected
 
 
 def test_nakaoka_table_text(capture):

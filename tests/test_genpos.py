@@ -225,9 +225,19 @@ def test_span_oracle_index_names_projective_points(p, dim):
         assert any(tuple(lam * a % p for a in v) == rep for lam in range(1, p)), (v, rep)
 
 
-def test_vector_relation_validates_memoised_symbols():
+@pytest.mark.parametrize(
+    "memoise",
+    [
+        lambda R: R.gp(((1, 0),), ((0, 1),)),
+        lambda R: R.point_gp()(((1, 0),), ((0, 1),)),
+        lambda R: R.extension_rule(((1, 0),)),
+    ],
+    ids=["gp", "point_gp", "extension_rule"],
+)
+def test_vector_relation_validates_memoised_symbols(memoise):
     R = VectorRelation(3, 2)
-    assert R.gp(((1, 0),), ((0, 1),))
+    memoise(R)
+    assert (1, 0) in R._indices
     # A symbol equal to a memoised one must not skip validation: 1.0 == 1.
     for bad in [(1.0, 0), (True, 0), (3, 0), (1, 0, 0), ([1], 0)]:
         with pytest.raises(InvalidInput):
