@@ -9,7 +9,8 @@ symbols; the empty tuple is the unique word of length zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import json
+import math
 
 from .errors import InvalidInput
 
@@ -20,14 +21,42 @@ Symbol = object  # int for letters, tuple[int, ...] for vectors
 Word = tuple
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """Immutable record of its ``__slots__`` fields, set in that order and compared by value."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which takes the fields
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Alphabet(Value):
     """Ground alphabet of a word complex; sizes are exact ints, not True or 2.0."""
 
-    kind: str  # "letters" or "vectors"
-    m: int = 0
-    p: int = 0
-    dim: int = 0
+    __slots__ = ("kind", "m", "p", "dim")
+
+    def __init__(self, kind: str, m: int = 0, p: int = 0, dim: int = 0):
+        super().__init__(kind, m, p, dim)  # kind is "letters" or "vectors"
 
     @staticmethod
     def letters(m: int) -> "Alphabet":
@@ -101,3 +130,17 @@ class Alphabet:
         if obj["kind"] == "vectors":
             return Alphabet.vectors(obj.get("p"), obj.get("dim"))
         raise InvalidInput("unknown alphabet kind", kind=obj["kind"])
+
+
+def parse_json(text: str, name: str):
+    """``json.loads`` where NaN, Infinity or 1e400 is InvalidInput naming the literal."""
+
+    def finite(literal: str) -> float:
+        if math.isfinite(value := float(literal)):
+            return value
+        raise InvalidInput(f"{name} holds a number that is not finite", number=literal)
+
+    try:
+        return json.loads(text, parse_constant=finite, parse_float=finite)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise InvalidInput(f"{name} is not valid JSON: {exc}") from exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Word, parse_json
 from .errors import DisjointnessViolation, InvalidInput
 
 PRODUCT_MODES = ("concat", "disjoint")
@@ -290,8 +290,4 @@ class Chain:
 
     @staticmethod
     def parse(text: str) -> "Chain":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-            raise InvalidInput(f"not valid JSON: {exc}") from exc
-        return Chain.from_json(obj)
+        return Chain.from_json(parse_json(text, "the chain"))

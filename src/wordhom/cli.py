@@ -37,6 +37,7 @@ import json
 import signal
 import sys
 
+from .alphabet import parse_json
 from .chains import Chain
 
 # build_injective is no longer called here: the benchmark tracer hooks this
@@ -107,10 +108,7 @@ def _relation_from_args(args):
 
 def _parse_base(relation, raw):
     """The --base word (empty if not given), checked to be in general position."""
-    try:
-        obj = [] if raw is None else json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-        raise InvalidInput(f"--base is not valid JSON: {exc}") from exc
+    obj = [] if raw is None else parse_json(raw, "--base")
     base = relation.alphabet.word_from_json(obj)
     relation.check_base(base)
     return base

@@ -17,10 +17,9 @@ degree, and is checked at each one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Value, Word
 from .chains import Chain
 from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit
 from .genpos import GeneralPositionRelation
@@ -29,8 +28,7 @@ from .linalg import SparseIntMatrix
 DEFAULT_MAX_BASIS = 500_000
 
 
-@dataclass(frozen=True)
-class ChainComplexRep:
+class ChainComplexRep(Value):
     """Based chain complex with explicit sparse integer boundary matrices.
 
     ``dims[k]`` is the rank of the degree-k chain group and ``boundaries[k-1]``
@@ -43,14 +41,10 @@ class ChainComplexRep:
     checks d_k d_{k+1} = 0.
     """
 
-    dims: tuple[int, ...]
-    boundaries: tuple[SparseIntMatrix, ...]
-    complete: bool
-    alphabet: Alphabet | None = None
-    bases: tuple[tuple[Word, ...], ...] | None = None
-    description: dict | None = None
+    __slots__ = ("dims", "boundaries", "complete", "alphabet", "bases", "description")
 
-    def __post_init__(self):
+    def __init__(self, dims, boundaries, complete, alphabet=None, bases=None, description=None):
+        super().__init__(dims, boundaries, complete, alphabet, bases, description)
         self._check_square_zero()
 
     def _check_square_zero(self):

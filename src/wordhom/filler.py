@@ -31,9 +31,9 @@ builds one ``Chain``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
+from .alphabet import Value
 from .chains import Chain, add_boundary, add_terms, word_boundary
 from .errors import (
     GeneralPositionExhausted,
@@ -47,15 +47,13 @@ from .genpos import GeneralPositionRelation, gp_order
 from .morse import injective_classify, morse_homotopy
 
 
-@dataclass(frozen=True)
-class FillCertificate:
+class FillCertificate(Value):
     """A cycle, a chain bounding it, and the log of how it was found."""
 
-    input_cycle: Chain
-    filling: Chain
-    steps: tuple
+    __slots__ = ("input_cycle", "filling", "steps")
 
-    def __post_init__(self):
+    def __init__(self, input_cycle: Chain, filling: Chain, steps: tuple):
+        super().__init__(input_cycle, filling, steps)
         if not self.check():
             raise InternalInvariantBroken(
                 "certificate does not validate: boundary(filling) != cycle"
@@ -70,7 +68,7 @@ class FillCertificate:
             "input": self.input_cycle.to_json(),
             "filling": self.filling.to_json(),
             "steps": list(self.steps),
-            # __post_init__ refuses a certificate whose boundary is not the cycle
+            # __init__ refuses a certificate whose boundary is not the cycle
             "valid": True,
         }
 

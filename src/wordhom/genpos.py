@@ -26,9 +26,8 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Value, Word
 from .errors import InternalInvariantBroken, InvalidInput, PreconditionViolated
 from .linalg import require_prime
 
@@ -462,12 +461,11 @@ def _blocking_extension(oracle: _SpanOracle, points: tuple, candidates, n: int):
 
 # -- axiom checking ----------------------------------------------------------
 
-@dataclass
-class AxiomViolation:
-    axiom: str
-    x: Word
-    y: Word
-    z: Word
+class AxiomViolation(Value):
+    __slots__ = ("axiom", "x", "y", "z")
+
+    def __init__(self, axiom: str, x: Word, y: Word, z: Word):
+        super().__init__(axiom, x, y, z)
 
     def to_json(self, alphabet: Alphabet) -> dict:
         return {
@@ -478,14 +476,11 @@ class AxiomViolation:
         }
 
 
-@dataclass
-class AxiomReport:
-    relation: str
-    trials: int
-    seed: int
-    passed: bool
-    hypothesis_hits: dict[str, int] = field(default_factory=dict)
-    violations: list[AxiomViolation] = field(default_factory=list)
+class AxiomReport(Value):
+    __slots__ = ("relation", "trials", "seed", "passed", "hypothesis_hits", "violations")
+
+    def __init__(self, relation, trials, seed, passed, hypothesis_hits=None, violations=None):
+        super().__init__(relation, trials, seed, passed, hypothesis_hits or {}, violations or [])
 
     def to_json(self, alphabet: Alphabet) -> dict:
         return {
@@ -589,13 +584,13 @@ def check_axioms(
 
 # -- the order invariant -----------------------------------------------------
 
-@dataclass(frozen=True)
-class GpOrderResult:
+class GpOrderResult(Value):
     """Either the exact order with a blocking witness, or a lower bound."""
 
-    exact: bool
-    value: int
-    witness: tuple | None = None
+    __slots__ = ("exact", "value", "witness")
+
+    def __init__(self, exact: bool, value: int, witness: tuple | None = None):
+        super().__init__(exact, value, witness)
 
     @property
     def order(self) -> int | None:

@@ -28,8 +28,8 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
+from .alphabet import Value
 from .complexes import ChainComplexRep
 from .errors import InvalidInput, ResourceLimit
 from .homology import HomologyGroup, homology_table
@@ -481,16 +481,13 @@ def abelianization(group: PermutationGroup) -> HomologyGroup:
     return HomologyGroup(free, torsion)
 
 
-@dataclass(frozen=True)
-class NakaokaReport:
-    """Comparison of H_m across consecutive symmetric groups."""
+class NakaokaReport(Value):
+    """H_m of S_{n-1} (lhs) against S_n (rhs); in_range (m < n/2) claims they are equal."""
 
-    n: int
-    m: int
-    lhs: HomologyGroup  # H_m of S_{n-1}
-    rhs: HomologyGroup  # H_m of S_n
-    in_range: bool  # m < n/2, where equality of the two groups is claimed
-    equal: bool
+    __slots__ = ("n", "m", "lhs", "rhs", "in_range", "equal")
+
+    def __init__(self, n, m, lhs, rhs, in_range, equal):
+        super().__init__(n, m, lhs, rhs, in_range, equal)
 
     def holds(self) -> bool:
         """The stability claim is vacuous outside the range."""

@@ -9,33 +9,32 @@ boundary; no basis of cycles is ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
+from .alphabet import Value
 from .errors import InvalidInput, TruncationError
 from .linalg import smith_normal_form
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Value):
     """Finitely generated abelian group in invariant-factor form."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise InvalidInput("free rank cannot be negative", free_rank=self.free_rank)
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
+            raise InvalidInput("free rank cannot be negative", free_rank=free_rank)
+        torsion = tuple(torsion)
         prev = None
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise InvalidInput("torsion invariant factors must be at least 2", factor=t)
             if prev is not None and t % prev:
                 raise InvalidInput(
-                    "torsion factors must form a divisibility chain", torsion=self.torsion
+                    "torsion factors must form a divisibility chain", torsion=torsion
                 )
             prev = t
+        super().__init__(free_rank, torsion)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

@@ -157,10 +157,21 @@ def test_fill_rejects_non_cycle(tmp_path, capture):
     assert json.loads(out)["error"]["code"] == "not-a-cycle"
 
 
+def strict_loads(out: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise AssertionError(f"the output holds {constant}, which is not JSON")
+
+    return json.loads(out, parse_constant=refuse)
+
+
 LONG_COEFF = (
     b'{"alphabet": {"kind": "letters", "m": 3}, "degree": 1, "terms": '
     b'[{"coeff": ' + b"1" * 5000 + b', "word": [1]}]}'
 )
+LETTERS_TERM = b'{"alphabet": {"kind": "letters", "m": %s}, "degree": %s, "terms": [%s]}'
+VECTOR_TERM = b'{"alphabet": {"kind": "vectors", "p": 5, "dim": 2}, "degree": 1, "terms": [%s]}'
 
 
 @pytest.mark.parametrize(
@@ -171,15 +182,30 @@ LONG_COEFF = (
         # Past the interpreter's int digit limit json.loads raises a plain
         # ValueError; without the limit the chain is read and is no cycle.
         (LONG_COEFF, None),
+        # Numbers that are not finite; the error JSON must not echo them raw.
+        (LETTERS_TERM % (b"3", b"1", b'{"coeff": 1e400, "word": [1]}'), "invalid-input"),
+        (LETTERS_TERM % (b"3", b"1", b'{"coeff": NaN, "word": [1]}'), "invalid-input"),
+        (LETTERS_TERM % (b"Infinity", b"1", b'{"coeff": 1, "word": [1]}'), "invalid-input"),
+        (LETTERS_TERM % (b"3", b"-Infinity", b'{"coeff": 1, "word": [1]}'), "invalid-input"),
+        (VECTOR_TERM % b'{"coeff": 1, "word": [[NaN, 1]]}', "invalid-input"),
     ],
-    ids=["not-json", "not-utf8", "long-coeff"],
+    ids=[
+        "not-json",
+        "not-utf8",
+        "long-coeff",
+        "coeff-1e400",
+        "coeff-nan",
+        "m-infinity",
+        "degree-minus-infinity",
+        "entry-nan",
+    ],
 )
 def test_fill_rejects_malformed_json(tmp_path, capture, raw, error):
     path = tmp_path / "garbage.json"
     path.write_bytes(raw)
     code, out = capture("fill", "--input", str(path))
     assert code == 2
-    reported = json.loads(out)["error"]
+    reported = strict_loads(out)["error"]
     assert error is None or reported["code"] == error
 
 
@@ -274,6 +300,26 @@ def test_homology_gp_rejects_base_not_in_general_position(capture, flags, base):
     # Past the int digit limit json.loads fails; without it 11...1 is no residue mod 5.
     expected = "invalid-input" if base == LONG_BASE else "precondition-violated"
     assert json.loads(out)["error"]["code"] == expected
+
+
+@pytest.mark.parametrize(
+    "base,literal",
+    [("[[NaN, 1]]", "NaN"), ("[[1, -Infinity]]", "-Infinity"), ("[[1e400, 0]]", "1e400")],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("homology", "gp", "--p", "5", "--dim", "2"), ("fill", "--input", "-")],
+    ids=["homology-gp", "fill"],
+)
+def test_base_rejects_numbers_that_are_not_finite(capture, monkeypatch, command, base, literal):
+    # fill reads this vector cycle from stdin before it reads --base.
+    cycle = Chain.term(Alphabet.vectors(5, 2), ((0, 1), (1, 1))).boundary()
+    monkeypatch.setattr("sys.stdin", io.StringIO(cycle.serialize()))
+    code, out = capture(*command, "--base", base)
+    assert code == 2
+    error = strict_loads(out)["error"]
+    assert error["code"] == "invalid-input"
+    assert error["context"] == {"number": literal}
 
 
 def test_nakaoka_table_text(capture):
@@ -477,13 +523,15 @@ def test_parser_is_not_built_at_import():
         [
             sys.executable,
             "-c",
-            "import wordhom.cli as c; print(c._shared_parser.cache_info().currsize)",
+            "import sys, wordhom.cli as c; print(c._shared_parser.cache_info().currsize,"
+            " sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
         env=subprocess_env(),
     )
-    assert proc.stdout == "0\n"
+    # No parser yet, and neither dataclasses nor its inspect import chain loaded.
+    assert proc.stdout == "0 []\n"
 
 
 def test_handler_patched_after_the_parser_is_built_runs(capture, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -243,7 +242,14 @@ def test_verify_rejects_an_altered_column():
     negated = SparseIntMatrix(
         top.rows, top.cols, {(r, c): -v if c == 2 else v for (r, c), v in top.items()}
     )
-    altered = dataclasses.replace(C, boundaries=C.boundaries[:-1] + (negated,))
+    altered = ChainComplexRep(
+        dims=C.dims,
+        boundaries=C.boundaries[:-1] + (negated,),
+        complete=C.complete,
+        alphabet=C.alphabet,
+        bases=C.bases,
+        description=C.description,
+    )
     with pytest.raises(InternalInvariantBroken) as info:
         altered.verify()
     assert info.value.context == {"degree": 3, "column": 2}
