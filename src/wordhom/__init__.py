@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
     WordhomError,
 )
-from .filler import FillCertificate, fill_absent, fill_gp, fill_injective, i_invariant
+from .filler import FillCertificate, fill_gp, fill_injective, i_invariant
 from .genpos import (
     AxiomReport,
     GeneralPositionRelation,
@@ -85,7 +85,6 @@ __all__ = [
     "check_axioms",
     "collapsed_bar_complex",
     "derangement_count",
-    "fill_absent",
     "fill_gp",
     "fill_injective",
     "gp_inj",

@@ -114,6 +114,9 @@ class Chain:
     def __setattr__(self, name, value):
         raise AttributeError("Chain is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Chain, (self.alphabet, self.degree, self._terms, True)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(alphabet: Alphabet, degree: int) -> "Chain":

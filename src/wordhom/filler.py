@@ -10,8 +10,13 @@ complex below the top degree, where the derangement matching
 (``morse.injective_classify``) has no critical word.  So its algebraic-Morse
 chain homotopy h (Sköldberg 2006) fills every cycle z there, ∂h(z) = z;
 ``morse.morse_homotopy`` sums it along the same gradient walk as the Morse
-complex, with the same checks, at every alphabet size.  Every filling word
-must be injective.
+complex, with the same checks, at every alphabet size.  A permutation π of
+the letters is a chain automorphism, so the filler first relabels: it fills
+π(z) and maps the filling back through π⁻¹, which is the homotopy of the
+conjugated matching.  π (``_relabelling``) swaps 1 with a letter that no
+term uses, which makes the filling the cone on that letter, one match per
+term; if every letter is used, it sends to each position in turn the letter
+most terms hold there.  Every filling word must be injective.
 ``fill_gp`` follows Kerz's staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
@@ -31,6 +36,7 @@ builds one ``Chain``.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 from .alphabet import Value
@@ -108,25 +114,6 @@ def _certificate(c: Chain, terms: dict, steps: list, stays, message: str) -> Fil
     return FillCertificate(c, filling, tuple(steps))
 
 
-def fill_absent(c: Chain, x) -> FillCertificate:
-    """Fill a cycle by coning over a symbol that does not appear in it."""
-    alphabet = c.alphabet
-    x = alphabet.check_symbol(x)
-    if x in c.appearing_symbols():
-        raise PreconditionViolated(
-            "the cone symbol appears in the chain",
-            symbol=alphabet.symbol_to_json(x),
-        )
-    _require_cycle(c)
-    filling = Chain.term(alphabet, (x,)).product(c, mode="disjoint")
-    step = {
-        "action": "cone",
-        "symbol": alphabet.symbol_to_json(x),
-        "degree": c.degree,
-    }
-    return FillCertificate(c, filling, (step,))
-
-
 # -- injective words ---------------------------------------------------------
 
 def fill_injective(c: Chain) -> FillCertificate:
@@ -135,7 +122,8 @@ def fill_injective(c: Chain) -> FillCertificate:
     if alphabet.kind != "letters":
         raise InvalidInput("fill_injective works over a letters alphabet")
     m = alphabet.m
-    for word, _ in c.terms():
+    cycle = c.terms()
+    for word, _ in cycle:
         if len(set(word)) != len(word):
             raise InvalidInput("a term is not an injective word", word=word)
     if c.degree >= m:
@@ -145,15 +133,55 @@ def fill_injective(c: Chain) -> FillCertificate:
             m=m,
         )
     _require_cycle(c)
-    terms, matched = morse_homotopy(dict(c.terms()), partial(injective_classify, m), word_boundary)
-    # One step per word that h is summed from, in order, so the log replays h;
-    # the words themselves, not lists: json writes a tuple as an array.
-    steps = [
-        {"action": "match", "word": sigma, "partner": tau, "incidence": eps}
+    labels = _relabelling([word for word, _ in cycle], m)
+    new = dict(enumerate(labels, 1))  # letter -> label
+    back = {i: x for x, i in new.items()}.__getitem__  # label -> letter
+    relabelled = {tuple(map(new.__getitem__, w)): coeff for w, coeff in cycle}
+    filling, matched = morse_homotopy(relabelled, partial(injective_classify, m), word_boundary)
+    # The relabel step, then one step per word that h is summed from, in
+    # order, so the log replays h in the cycle's own letters; the words
+    # themselves, not lists: json writes a tuple as an array.
+    steps = [{"action": "relabel", "letters": labels}]
+    steps += [
+        {
+            "action": "match",
+            "word": tuple(map(back, sigma)),
+            "partner": tuple(map(back, tau)),
+            "incidence": eps,
+        }
         for sigma, tau, eps in matched
     ]
+    terms = {tuple(map(back, w)): coeff for w, coeff in filling.items()}
     message = "a filling word repeats a letter"
     return _certificate(c, terms, steps, lambda w: len(set(w)) == len(w), message)
+
+
+def _relabelling(words: list, m: int) -> list:
+    """The label in 1..m of each letter 1..m, as the list [π(1), …, π(m)].
+
+    If some letter is in no word, π swaps the least such letter a with 1:
+    every relabelled word then lacks 1 and is matched with 1 put in front,
+    whose other faces begin with 1 and are collapsible, so h is the cone
+    on a, one match per word.  Otherwise label i goes, for i = 1..m in
+    turn, to the unlabelled letter at position i of the most words, the
+    least such on ties, or the least unlabelled letter if none is there:
+    a word with x_i = i for a small i is collapsible, so the walk stops
+    early on it.
+    """
+    present = set().union(*words)
+    labels = list(range(1, m + 1))
+    free = next((a for a in labels if a not in present), None)
+    if free is not None:
+        labels[0], labels[free - 1] = free, 1
+        return labels
+    columns = [Counter(column) for column in zip(*words)]
+    columns += [Counter()] * (m - len(columns))
+    unlabelled = list(range(1, m + 1))  # stays sorted, so max takes the least on ties
+    for i, counts in enumerate(columns, 1):
+        x = max(unlabelled, key=counts.__getitem__)
+        unlabelled.remove(x)
+        labels[x - 1] = i
+    return labels
 
 
 # -- general position --------------------------------------------------------

@@ -67,6 +67,9 @@ class SparseIntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SparseIntMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return SparseIntMatrix, (self.rows, self.cols, self._entries)
+
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseIntMatrix":
         return SparseIntMatrix(rows, cols)

@@ -16,7 +16,6 @@ from wordhom import (
     OutOfRange,
     PreconditionViolated,
     VectorRelation,
-    fill_absent,
     fill_gp,
     fill_injective,
     gp_order,
@@ -34,30 +33,6 @@ A5 = Alphabet.letters(5)
 
 def term(word, coeff=1, alphabet=A5):
     return Chain.term(alphabet, word, coeff)
-
-
-# -- fill_absent ---------------------------------------------------------------
-
-def test_fill_absent_cone():
-    c = term((2,)) - term((3,))
-    cert = fill_absent(c, 1)
-    assert cert.filling == term((1, 2)) - term((1, 3))
-    assert cert.check()
-
-
-def test_fill_absent_zero_cycle():
-    cert = fill_absent(Chain.zero(A5, 2), 1)
-    assert cert.filling.is_zero()
-
-
-def test_fill_absent_rejects_appearing_symbol():
-    with pytest.raises(PreconditionViolated):
-        fill_absent(term((1,)), 1)
-
-
-def test_fill_absent_rejects_non_cycle():
-    with pytest.raises(NotACycle):
-        fill_absent(term((2,)), 1)
 
 
 # -- fill_injective --------------------------------------------------------------
@@ -129,13 +104,15 @@ def test_fill_injective_random_boundaries():
 
 def test_fill_injective_refuses_a_cyclic_matching(monkeypatch):
     # The letter-by-letter matching pairs (2,1) with (3,2,1) and (3,1) with
-    # (2,3,1), a gradient cycle that d(3,2,1) reaches.  d(1,2,3) does not: its
-    # faces' partners have no other redundant face, so it still fills.
+    # (2,3,1), a gradient cycle that d(3,2,1) + d(1,2,3) reaches: its letters
+    # keep their labels, and (2,1) is one of its words.  d(1,2,3) alone is
+    # relabelled d(1,3,2), whose one redundant word (3,2) is matched with
+    # (1,3,2), whose other faces are collapsible, so it still fills.
     _, classify, _ = letter_by_letter_matching(3)
     monkeypatch.setattr(filler, "injective_classify", lambda m, w: classify(w))
     A3 = Alphabet.letters(3)
     with pytest.raises(InternalInvariantBroken, match="the matching has a cycle"):
-        fill_injective(Chain.term(A3, (3, 2, 1)).boundary())
+        fill_injective(Chain(A3, 3, {(3, 2, 1): 1, (1, 2, 3): 1}).boundary())
     cycle = Chain.term(A3, (1, 2, 3)).boundary()
     assert fill_injective(cycle).filling.boundary() == cycle
 
@@ -172,9 +149,9 @@ def test_fill_injective_refuses_a_broken_matching(monkeypatch, classify, boundar
 
 
 def test_fill_injective_over_forty_letters():
-    # A word of degree n is matched by inserting some i <= n+1, so a filling
-    # uses only the cycle's letters and 1..n+1, however large the alphabet;
-    # the same cycle filled twice gives the same certificate.
+    # These cycles use at most 10 of the 40 letters, so the filling is the
+    # cone on the least letter a they leave out and uses only their letters
+    # and a; the same cycle filled twice gives the same certificate.
     A40 = Alphabet.letters(40)
     rng = random.Random(2040)
     for n in range(1, 5):
@@ -182,16 +159,65 @@ def test_fill_injective_over_forty_letters():
             words = [tuple(rng.sample(range(1, 41), n + 1)) for _ in range(2)]
             cycle = Chain(A40, n + 1, {w: rng.randint(1, 3) for w in words}).boundary()
             cert = fill_injective(cycle)
-            allowed = cycle.appearing_symbols() | set(range(1, n + 2))
-            assert cert.filling.appearing_symbols() <= allowed
+            letters = cycle.appearing_symbols()
+            a = min(set(range(1, 41)) - letters)
+            assert cert.filling.appearing_symbols() <= letters | {a}
             assert fill_injective(cycle).to_json() == cert.to_json()
 
 
+def _cone_on(a, cycle):
+    return Chain.term(cycle.alphabet, (a,)).product(cycle, mode="disjoint")
+
+
+def test_fill_injective_cones_on_the_least_free_letter():
+    # Swapping a with 1 leaves every word without 1, matched with 1 put in
+    # front, so the filling is a·z with one match step per term, a·w for w.
+    rng = random.Random(2042)
+    for _ in range(200):
+        m = rng.randint(2, 12)
+        n = rng.randint(1, m - 1)
+        letters = rng.sample(range(1, m + 1), rng.randint(n + 1, m))
+        words = [tuple(rng.sample(letters, n + 1)) for _ in range(rng.randint(1, 3))]
+        cycle = Chain(Alphabet.letters(m), n + 1, {w: rng.randint(1, 3) for w in words}).boundary()
+        free = set(range(1, m + 1)) - cycle.appearing_symbols()
+        if not free:
+            continue
+        a = min(free)
+        cert = fill_injective(cycle)
+        assert cert.filling == _cone_on(a, cycle)
+        relabel, *matches = cert.steps
+        labels = list(range(1, m + 1))
+        labels[0], labels[a - 1] = a, 1
+        assert relabel == {"action": "relabel", "letters": labels}
+        assert [(s["word"], s["partner"]) for s in matches] == [
+            (w, (a,) + w) for w, _ in cycle.terms()
+        ]
+
+
+def test_fill_injective_expands_one_word_per_term_over_forty_letters(monkeypatch):
+    # The degree-11 boundary of three random words on the letters 1..14 over
+    # 40 letters, which the walk of the unrelabelled matching expands 171,741
+    # words for.  Every redundant word expanded reads its partner's boundary
+    # once, so counting those reads counts the expansions.
+    rng = random.Random(5)
+    for n in range(1, 12):
+        terms = {tuple(rng.sample(range(1, n + 4), n + 1)): rng.randint(1, 3) for _ in range(3)}
+    cycle = Chain(Alphabet.letters(40), 12, terms).boundary()
+    assert cycle.degree == 11
+    reads = []
+    monkeypatch.setattr(filler, "word_boundary", lambda w: reads.append(w) or word_boundary(w))
+    cert = fill_injective(cycle)
+    assert len(reads) <= len(cycle)
+    assert cert.filling == _cone_on(min(set(range(1, 41)) - cycle.appearing_symbols()), cycle)
+
+
 def test_fill_injective_steps_replay_the_filling():
-    # Replayed in order, each step hands its word's coefficient c on: the
-    # partner gets incidence·c, and every other face ρ of the partner loses
+    # The first step relabels letter x as π(x).  Replayed in order, each
+    # match step hands its word's coefficient c on: the partner gets
+    # incidence·c, and every other face ρ of the partner loses
     # incidence·c·[∂ partner:ρ].  That rebuilds the filling and leaves
-    # nonzero coefficients on collapsible words only, where h is 0.
+    # nonzero coefficients only on words w with π(w) collapsible, where the
+    # homotopy of the relabelled matching is 0.
     rng = random.Random(2041)
     for m in (5, 7):
         alphabet = Alphabet.letters(m)
@@ -200,9 +226,13 @@ def test_fill_injective_steps_replay_the_filling():
             words = [tuple(rng.sample(range(1, m + 1), n + 1)) for _ in range(3)]
             cycle = Chain(alphabet, n + 1, {w: rng.randint(1, 3) for w in words}).boundary()
             cert = fill_injective(cycle)
+            relabel, *matches = cert.steps
+            assert relabel["action"] == "relabel"
+            pi = dict(zip(range(1, m + 1), relabel["letters"]))
+            assert sorted(pi.values()) == list(range(1, m + 1))
             coeffs = dict(cycle.terms())
             filling = {}
-            for step in cert.steps:
+            for step in matches:
                 assert step["action"] == "match"
                 sigma, tau = tuple(step["word"]), tuple(step["partner"])
                 c = step["incidence"] * coeffs.pop(sigma)
@@ -211,7 +241,11 @@ def test_fill_injective_steps_replay_the_filling():
                     if rho != sigma:
                         coeffs[rho] = coeffs.get(rho, 0) - c * d
             assert Chain(alphabet, n + 1, filling) == cert.filling
-            assert all(injective_classify(m, w)[0] == COLLAPSIBLE for w, c in coeffs.items() if c)
+            assert all(
+                injective_classify(m, tuple(pi[x] for x in w))[0] == COLLAPSIBLE
+                for w, c in coeffs.items()
+                if c
+            )
 
 
 def test_fill_injective_output_is_pinned():
@@ -233,7 +267,7 @@ def test_fill_injective_output_is_pinned():
             payload = fill_injective(cycle).to_json()
             digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "47ebce38bc1efe7d6e4b3bcc8b89377bd40abf0d029501720c96fd3e211eecad"
+        "51bf64ea02be559560ef0b9e8db2259971bb6120a2146ec6a9b2cbcc9ddc92c0"
     )
 
 
