@@ -9,10 +9,10 @@ which makes serialization injective on distinct chains.
 The boundary d(x_1, …, x_n) = Σ (−1)^(j+1) (…, x̂_j, …) has one kernel,
 ``add_boundary``, which Chain.boundary and the fillers call; it takes the
 faces from ``itertools.combinations``, last entry deleted first.  Its
-single-word form, ``word_boundary``, serves the Morse kernel: the faces of a
-word with pairwise distinct entries cannot coincide, so their boundary is one
-dict of the faces against a precomputed sign tuple, and any other word falls
-back to ``add_boundary``.
+single-word form, ``word_boundary``, serves the Morse kernel and
+``ChainComplexRep.verify``: the faces of a word with pairwise distinct
+entries cannot coincide, so their boundary is one dict of the faces against
+a precomputed sign tuple, and any other word falls back to ``add_boundary``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .alphabet import Alphabet, Word, parse_json
+from .alphabet import Alphabet, Value, Word, parse_json
 from .errors import DisjointnessViolation, InvalidInput
 
 PRODUCT_MODES = ("concat", "disjoint")
@@ -83,8 +83,8 @@ def word_boundary(word) -> dict:
     return out
 
 
-class Chain:
-    """Immutable homogeneous chain."""
+class Chain(Value):
+    """Immutable homogeneous chain; its term dict has no hash, so it keeps its own."""
 
     __slots__ = ("alphabet", "degree", "_terms")
 
@@ -111,12 +111,6 @@ class Chain:
         object.__setattr__(self, "degree", degree if clean else 0)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Chain is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return Chain, (self.alphabet, self.degree, self._terms, True)
-
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero(alphabet: Alphabet, degree: int) -> "Chain":
@@ -137,14 +131,6 @@ class Chain:
 
     def __len__(self):
         return len(self._terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.alphabet == other.alphabet
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
 
     def __hash__(self):
         return hash((self.alphabet, self.degree, tuple(self.terms())))
@@ -180,12 +166,7 @@ class Chain:
         return self._combine(other, 1)
 
     def __neg__(self) -> "Chain":
-        return Chain(
-            self.alphabet,
-            self.degree,
-            {w: -c for w, c in self._terms.items()},
-            _validated=True,
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self._combine(other, -1)

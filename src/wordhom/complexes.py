@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .alphabet import Alphabet, Value, Word
-from .chains import Chain
+from .chains import word_boundary
 from .errors import InternalInvariantBroken, InvalidInput, ResourceLimit
 from .genpos import GeneralPositionRelation
 from .linalg import SparseIntMatrix
@@ -78,7 +78,7 @@ class ChainComplexRep(Value):
             index = {w: i for i, w in enumerate(self.bases[k - 1])}
             expected = {}
             for j, word in enumerate(self.bases[k]):
-                for face, c in Chain.term(self.alphabet, word).boundary().terms():
+                for face, c in word_boundary(word).items():
                     expected[index.get(face), j] = c
             differ = expected.items() ^ self.boundaries[k - 1].items()
             if differ:
@@ -187,7 +187,7 @@ def _assemble(alphabet, levels, complete, description) -> ChainComplexRep:
 
 def build_injective(m: int) -> ChainComplexRep:
     """Complete complex of injective words on the letters 1..m."""
-    if not isinstance(m, int) or not 1 <= m <= 8:
+    if type(m) is not int or not 1 <= m <= 8:
         raise InvalidInput("injective-word complex supported for 1 <= m <= 8", m=m)
     alphabet = Alphabet.letters(m)
     levels, complete = _enumerate(alphabet.symbols(), lambda word, s: s not in word, None, None)

@@ -13,10 +13,11 @@ chain homotopy h (Sköldberg 2006) fills every cycle z there, ∂h(z) = z;
 complex, with the same checks, at every alphabet size.  A permutation π of
 the letters is a chain automorphism, so the filler first relabels: it fills
 π(z) and maps the filling back through π⁻¹, which is the homotopy of the
-conjugated matching.  π (``_relabelling``) swaps 1 with a letter that no
-term uses, which makes the filling the cone on that letter, one match per
-term; if every letter is used, it sends to each position in turn the letter
-most terms hold there.  Every filling word must be injective.
+conjugated matching.  π (``_relabelling``) swaps 1 with the least letter a
+that no term uses, which makes the filling the cone on a, one match per
+term, and is logged as [π(1), …, π(a)]; if every letter is used, it sends
+to each position in turn the letter most terms hold there.  Every filling
+word must be injective.
 ``fill_gp`` follows Kerz's staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
@@ -134,7 +135,10 @@ def fill_injective(c: Chain) -> FillCertificate:
         )
     _require_cycle(c)
     labels = _relabelling([word for word, _ in cycle], m)
-    new = dict(enumerate(labels, 1))  # letter -> label
+    # π fixes the letters above those labelled, which the walk never adds
+    # (it adds 1 alone when a letter is free), so the maps skip them.
+    new = {x: x for word, _ in cycle for x in word}  # letter -> label
+    new.update(enumerate(labels, 1))
     back = {i: x for x, i in new.items()}.__getitem__  # label -> letter
     relabelled = {tuple(map(new.__getitem__, w)): coeff for w, coeff in cycle}
     filling, matched = morse_homotopy(relabelled, partial(injective_classify, m), word_boundary)
@@ -157,23 +161,25 @@ def fill_injective(c: Chain) -> FillCertificate:
 
 
 def _relabelling(words: list, m: int) -> list:
-    """The label in 1..m of each letter 1..m, as the list [π(1), …, π(m)].
+    """[π(1), …, π(k)] for a permutation π of 1..m that fixes every letter above k.
 
-    If some letter is in no word, π swaps the least such letter a with 1:
-    every relabelled word then lacks 1 and is matched with 1 put in front,
-    whose other faces begin with 1 and are collapsible, so h is the cone
-    on a, one match per word.  Otherwise label i goes, for i = 1..m in
-    turn, to the unlabelled letter at position i of the most words, the
-    least such on ties, or the least unlabelled letter if none is there:
-    a word with x_i = i for a small i is collapsible, so the walk stops
-    early on it.
+    If some letter is in no word, k is the least such letter a (at most one
+    more than the letters used), and π swaps a with 1: every relabelled word
+    then lacks 1 and is matched with 1 put in front, whose other faces begin
+    with 1 and are collapsible, so h is the cone on a, one match per word.
+    Otherwise k = m, at most the words' total length, and label i goes, for
+    i = 1..m in turn, to the unlabelled letter at position i of the most
+    words, the least such on ties, or the least unlabelled letter if none
+    is there: a word with x_i = i for a small i is collapsible, so the walk
+    stops early on it.
     """
     present = set().union(*words)
-    labels = list(range(1, m + 1))
-    free = next((a for a in labels if a not in present), None)
-    if free is not None:
-        labels[0], labels[free - 1] = free, 1
+    free = next(a for a in range(1, len(present) + 2) if a not in present)
+    if free <= m:
+        labels = list(range(1, free + 1))
+        labels[0], labels[-1] = free, 1
         return labels
+    labels = list(range(1, m + 1))
     columns = [Counter(column) for column in zip(*words)]
     columns += [Counter()] * (m - len(columns))
     unlabelled = list(range(1, m + 1))  # stays sorted, so max takes the least on ties

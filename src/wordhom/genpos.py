@@ -370,17 +370,12 @@ class VectorRelation(GeneralPositionRelation):
 
         Masks are kept per word; the mask of a word is grown from its
         parent's the first time the word is passed.  Symbol indices are
-        read from the relation's symbol memo, so the rule takes alphabet
-        symbols only.
+        read from the relation's symbol memo as ``point_gp`` reads them, so
+        the rule takes alphabet symbols only.
         """
         oracle = self._oracle
-        get, lookup = self._indices.get, self._index
-
-        def index(v):
-            q = get(v)
-            return lookup(v) if q is None else q
-
-        points = tuple({index(v) for v in base} - {0})
+        get, index = self._indices.get, self._index
+        points = tuple({get(v) or index(v) for v in base} - {0})
         # word -> (forbidden mask of word.base, distinct points of word.base)
         known = {(): (oracle.forbidden(points), points)}
         last, mask = (), known[()][0]
@@ -391,13 +386,13 @@ class VectorRelation(GeneralPositionRelation):
                 entry = known.get(word)
                 if entry is None:
                     parent_mask, parent_points = known[word[:-1]]
-                    q = index(word[-1])
+                    q = get(word[-1]) or index(word[-1])
                     entry = known[word] = (
                         oracle.extend(parent_mask, parent_points, q),
                         parent_points + (q,),
                     )
                 last, mask = word, entry[0]
-            return not mask >> index(s) & 1
+            return not mask >> (get(s) or index(s)) & 1
 
         return admits
 

@@ -88,7 +88,7 @@ class PermutationGroup:
     __slots__ = ("degree", "generators", "elements", "words", "index", "name")
 
     def __init__(self, degree: int, generators, name: str = "group"):
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise InvalidInput("the degree must be an integer >= 0", degree=degree)
         identity = tuple(range(degree))
         points = list(identity)
@@ -125,7 +125,7 @@ class PermutationGroup:
     @staticmethod
     def symmetric(n: int) -> "PermutationGroup":
         """S_n on its adjacent swaps s_{n-1}, ..., s_1, s_i exchanging i-1 and i."""
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvalidInput("need n >= 1", n=n)
         # The cap is checked before the search: S_11 alone has 39.9 million
         # elements.  Past 20 letters only n is reported, since n! soon has too
@@ -143,7 +143,7 @@ class PermutationGroup:
     @staticmethod
     def cyclic(k: int) -> "PermutationGroup":
         """C_k on its one rotation i -> i+1 mod k."""
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise InvalidInput("need k >= 1", k=k)
         _check_order(k)
         rotation = [(i + 1) % k for i in range(k)]

@@ -34,14 +34,15 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
+from .alphabet import Value
 from .errors import InvalidInput
 
 
-class SparseIntMatrix:
+class SparseIntMatrix(Value):
     """Immutable sparse integer matrix in coordinate form.
 
     Entries are given as a ``{(row, col): value}`` dict; zero values are
-    dropped.
+    dropped.  The dict has no hash, so the matrix keeps its own.
 
     `identity`, `from_dense`, `to_dense`, `transpose`, `permuted` and the
     module's `rank` are public construction and inspection API; the tests
@@ -63,12 +64,6 @@ class SparseIntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", {k: v for k, v in entries.items() if v})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseIntMatrix is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return SparseIntMatrix, (self.rows, self.cols, self._entries)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseIntMatrix":
@@ -110,13 +105,6 @@ class SparseIntMatrix:
         for (r, c), v in self._entries.items():
             dense[r][c] = v
         return dense
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.shape == other.shape
-            and self._entries == other._entries
-        )
 
     def __hash__(self):
         return hash((self.shape, tuple(sorted(self._entries.items()))))

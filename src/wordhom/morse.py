@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import permutations
 
-from .chains import word_boundary
+from .chains import add_terms, word_boundary
 from .complexes import ChainComplexRep
 from .errors import InternalInvariantBroken, InvalidInput
 from .linalg import SparseIntMatrix
@@ -170,15 +170,8 @@ def morse_complex(critical, classify, boundary, *, complete, description=None) -
 def _combine(images, terms, k) -> dict:
     """k·Σ c·R(ρ) over the terms (ρ, c); words that cancel are dropped."""
     total: dict = {}
-    tget, tpop = total.get, total.pop
     for rho, c in terms:
-        c *= k
-        for crit, v in images[rho].items():
-            val = tget(crit, 0) + c * v
-            if val:
-                total[crit] = val
-            else:
-                tpop(crit, None)
+        add_terms(total, images[rho], k * c)
     return total
 
 
@@ -246,7 +239,7 @@ def injective_morse_complex(m: int) -> ChainComplexRep:
     differential, and its homology is that of build_injective(m): Farmer's
     theorem with the rank read off the matching.
     """
-    if not isinstance(m, int) or not 1 <= m <= MAX_INJECTIVE_MORSE_M:
+    if type(m) is not int or not 1 <= m <= MAX_INJECTIVE_MORSE_M:
         raise InvalidInput(
             f"the injective Morse complex is supported for 1 <= m <= {MAX_INJECTIVE_MORSE_M}", m=m
         )

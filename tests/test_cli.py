@@ -137,6 +137,18 @@ def test_fill_round_trip(tmp_path, capture):
     assert reparsed == cycle
 
 
+def test_fill_relabels_only_the_letters_the_cycle_reaches(tmp_path, capture):
+    # ∂(1,2,3) over 10^20 letters: π swaps the least free letter 4 with 1
+    # and fixes every letter above it, so the log lists π(1), …, π(4) only.
+    path = tmp_path / "cycle.json"
+    path.write_text(Chain.term(Alphabet.letters(10**20), (1, 2, 3)).boundary().serialize())
+    code, out = capture("fill", "--input", str(path), "--check")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["valid"] is True
+    assert payload["steps"][0] == {"action": "relabel", "letters": [4, 2, 3, 1]}
+
+
 def test_fill_vector_cycle_with_base(tmp_path, capture):
     alphabet = Alphabet.vectors(3, 2)
     z = Chain.term(alphabet, ((0, 1), (1, 1)))

@@ -13,6 +13,7 @@ from wordhom import (
     abelianization,
     bar_boundary,
     build_bar_complex,
+    build_injective,
     collapsed_bar_complex,
     group_homology,
     homology_table,
@@ -20,6 +21,7 @@ from wordhom import (
     sym_homology,
 )
 from wordhom.grouphom import MAX_GROUP_ORDER
+from wordhom.morse import injective_morse_complex
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -79,6 +81,23 @@ def test_search_stops_at_the_order_cap():
 def test_bad_generators_rejected(degree, generators):
     with pytest.raises(InvalidInput):
         PermutationGroup(degree, generators)
+
+
+# True == 1 is an int to isinstance, but no size: each entry point checks
+# type(x) is int, as Alphabet.letters does.
+EXACT_INT_ENTRIES = {
+    "PermutationGroup": lambda: PermutationGroup(True, []),
+    "symmetric": lambda: PermutationGroup.symmetric(True),
+    "cyclic": lambda: PermutationGroup.cyclic(True),
+    "injective_morse_complex": lambda: injective_morse_complex(True),
+    "build_injective": lambda: build_injective(True),
+}
+
+
+@pytest.mark.parametrize("build", EXACT_INT_ENTRIES.values(), ids=EXACT_INT_ENTRIES.keys())
+def test_sizes_must_be_exact_ints(build):
+    with pytest.raises(InvalidInput):
+        build()
 
 
 def test_group_keeps_no_multiplication_table():
