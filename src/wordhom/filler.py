@@ -16,8 +16,9 @@ the letters is a chain automorphism, so the filler first relabels: it fills
 conjugated matching.  π (``_relabelling``) swaps 1 with the least letter a
 that no term uses, which makes the filling the cone on a, one match per
 term, and is logged as [π(1), …, π(a)]; if every letter is used, it sends
-to each position in turn the letter most terms hold there.  Every filling
-word must be injective.
+to each position i in turn the letter most undecided terms hold there,
+which decides the terms that hold it at i (collapsible) or not at all
+(redundant).  Every filling word must be injective.
 ``fill_gp`` follows Kerz's staircase in a general-position subcomplex,
 guided by the invariant ``i_invariant``: the longest prefix length every
 term keeps in general position to the pivot element, its own tail and the
@@ -167,11 +168,14 @@ def _relabelling(words: list, m: int) -> list:
     more than the letters used), and π swaps a with 1: every relabelled word
     then lacks 1 and is matched with 1 put in front, whose other faces begin
     with 1 and are collapsible, so h is the cone on a, one match per word.
-    Otherwise k = m, at most the words' total length, and label i goes, for
-    i = 1..m in turn, to the unlabelled letter at position i of the most
-    words, the least such on ties, or the least unlabelled letter if none
-    is there: a word with x_i = i for a small i is collapsible, so the walk
-    stops early on it.
+    Otherwise k = m, at most the words' total length, and labels are given
+    greedily by the words still undecided.  Label i goes, for i = 1, 2, …
+    in turn, to the unlabelled letter x at position i of the most undecided
+    words, the least such on ties.  That decides every word with x at
+    position i (collapsible at i) and every word without x (redundant at i,
+    so the walk starts at its partner); a word holding x elsewhere stays
+    undecided.  Once no word is undecided, the letters left take the labels
+    left in ascending order.
     """
     present = set().union(*words)
     free = next(a for a in range(1, len(present) + 2) if a not in present)
@@ -179,13 +183,18 @@ def _relabelling(words: list, m: int) -> list:
         labels = list(range(1, free + 1))
         labels[0], labels[-1] = free, 1
         return labels
-    labels = list(range(1, m + 1))
-    columns = [Counter(column) for column in zip(*words)]
-    columns += [Counter()] * (m - len(columns))
+    order = []  # the letters labelled so far, by label
     unlabelled = list(range(1, m + 1))  # stays sorted, so max takes the least on ties
-    for i, counts in enumerate(columns, 1):
+    undecided = words
+    while undecided:
+        i = len(order)
+        counts = Counter(w[i] for w in undecided if i < len(w))
         x = max(unlabelled, key=counts.__getitem__)
         unlabelled.remove(x)
+        order.append(x)
+        undecided = [w for w in undecided if x in w and w[i] != x]
+    labels = [0] * m
+    for i, x in enumerate(order + unlabelled, 1):
         labels[x - 1] = i
     return labels
 

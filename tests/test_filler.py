@@ -104,10 +104,12 @@ def test_fill_injective_random_boundaries():
 
 def test_fill_injective_refuses_a_cyclic_matching(monkeypatch):
     # The letter-by-letter matching pairs (2,1) with (3,2,1) and (3,1) with
-    # (2,3,1), a gradient cycle that d(3,2,1) + d(1,2,3) reaches: its letters
-    # keep their labels, and (2,1) is one of its words.  d(1,2,3) alone is
-    # relabelled d(1,3,2), whose one redundant word (3,2) is matched with
-    # (1,3,2), whose other faces are collapsible, so it still fills.
+    # (2,3,1), a gradient cycle that d(3,2,1) + d(1,2,3) reaches: each letter
+    # starts two of its six words, so the tie keeps every label, and (2,1)
+    # is one of its words.  d(1,2,3) alone keeps its labels too, since
+    # letter 1 starts two of its three words; its one redundant word (2,3)
+    # is matched with (1,2,3), whose other faces are collapsible, so it
+    # still fills.
     _, classify, _ = letter_by_letter_matching(3)
     monkeypatch.setattr(filler, "injective_classify", lambda m, w: classify(w))
     A3 = Alphabet.letters(3)
@@ -211,6 +213,42 @@ def test_fill_injective_expands_one_word_per_term_over_forty_letters(monkeypatch
     assert cert.filling == _cone_on(min(set(range(1, 41)) - cycle.appearing_symbols()), cycle)
 
 
+def test_fill_injective_relabels_full_support_cycles_by_the_undecided_words(monkeypatch):
+    # Cycles that use every letter have no free letter to cone on, so the
+    # labels are given by the words still undecided.  Each partner boundary
+    # read is one word the walk expands.  The degree-8 cycle on 10 letters
+    # is one that the rule by position frequency expands 3,208 words for.
+    reads = []
+    monkeypatch.setattr(filler, "word_boundary", lambda w: reads.append(w) or word_boundary(w))
+    words = {
+        (9, 1, 3, 5, 8, 10, 2, 7, 4): 1,
+        (4, 7, 6, 2, 9, 3, 1, 8, 5): 2,
+        (2, 1, 3, 10, 5, 4, 8, 6, 9): 3,
+    }
+    cycle = Chain(Alphabet.letters(10), 9, words).boundary()
+    assert (cycle.degree, len(cycle)) == (8, 27)
+    fill_injective(cycle)
+    assert len(reads) <= 250
+    # 100 seeded full-support cycles shaped like the benchmark's: the
+    # boundaries of at most three random words over 7 or 8 letters.
+    rng = random.Random(2043)
+    cycles = []
+    while len(cycles) < 100:
+        m = rng.choice((7, 8))
+        n = rng.randint(1, m - 1)
+        terms = {
+            tuple(rng.sample(range(1, m + 1), n + 1)): rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+            for _ in range(rng.randint(1, 3))
+        }
+        cycle = Chain(Alphabet.letters(m), n + 1, terms).boundary()
+        if cycle.appearing_symbols() == set(range(1, m + 1)):
+            cycles.append(cycle)
+    reads.clear()
+    for cycle in cycles:
+        fill_injective(cycle)
+    assert len(reads) <= sum(len(cycle) for cycle in cycles)
+
+
 def test_fill_injective_steps_replay_the_filling():
     # The first step relabels letter x as π(x), and π fixes every letter
     # above those it lists.  Replayed in order, each match step hands its
@@ -220,7 +258,7 @@ def test_fill_injective_steps_replay_the_filling():
     # with π(w) collapsible, where the homotopy of the relabelled matching
     # is 0.
     rng = random.Random(2041)
-    for m in (5, 7):
+    for m in (5, 7, 10):
         alphabet = Alphabet.letters(m)
         for _ in range(30):
             n = rng.randint(1, m - 1)
@@ -268,7 +306,7 @@ def test_fill_injective_output_is_pinned():
             payload = fill_injective(cycle).to_json()
             digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "e11ba0f61d4086ec1dead8a03c194fadde8d8f55bd5cdadc1e3b7a50213c6455"
+        "c3e290245ad6eee9897831f9e9dbfdc8777ce5a693fc9cd5e27e9a4c2816ab3c"
     )
 
 
